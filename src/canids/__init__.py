@@ -14,7 +14,6 @@ from .traces import (
     ScalingParams,
     Trace,
     TraceRecord,
-    WindowPair,
     apply_scaling,
     fit_and_scale,
     invert_scaling,
@@ -23,7 +22,6 @@ from .traces import (
     save_scaling,
     split_train_val,
     window_arrays,
-    windows,
     write_trace,
 )
 
@@ -34,7 +32,6 @@ __all__ = [
     "ScalingParams",
     "Trace",
     "TraceRecord",
-    "WindowPair",
     "apply_scaling",
     "fit_and_scale",
     "invert_scaling",
@@ -43,7 +40,6 @@ __all__ = [
     "save_scaling",
     "split_train_val",
     "window_arrays",
-    "windows",
     "write_trace",
     "__version__",
 ]

@@ -258,8 +258,9 @@ def cmd_simulate(args) -> int:
     trace = load_trace(args.trace, schema)
     config = OnlineConfig(tolerance_fraction=args.tolerance,
                           substitution=args.substitution)
-    dispositions = run_online(trace.records(), model, detector, variant,
-                              scaling, schema.nominal_period_ms, config)
+    dispositions = run_online(zip(trace.timestamps, trace.signals), model,
+                              detector, variant, scaling,
+                              schema.nominal_period_ms, config)
     prov = {"tool": f"canids {__version__}", "variant": variant}
     Path(args.out).write_text(dispositions_csv(dispositions, provenance=prov))
     counts: dict[str, int] = {}

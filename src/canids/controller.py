@@ -23,15 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector import (
-    OcsvmModel,
-    StaticThreshold,
-    deviation_matrix,
-    decision_values,
-    static_scores,
-)
-from .predictor import PredictorModel, predict_next
-from .traces import ScalingParams, TraceRecord
+from .detector import OcsvmModel, Scorer, StaticThreshold
+from .predictor import PredictorModel
+from .traces import ScalingParams, _fmt
 
 DISPOSITIONS = ("Delivered", "DroppedAnomalous", "DroppedRateViolation")
 
@@ -155,42 +149,25 @@ def run_online(stream, model: PredictorModel,
                detector: OcsvmModel | StaticThreshold, variant: str,
                scaling: ScalingParams, expected_period_ms: float,
                config: OnlineConfig | None = None) -> list[FrameDisposition]:
-    """Process raw records through the two-step pipeline.
+    """Process (timestamp, signals) frames through the two-step pipeline.
 
-    `stream` yields TraceRecord objects (raw physical values; scaling is
-    applied here). Dispositions partition the stream: every frame gets
-    exactly one.
+    Each frame of `stream` is its arrival time in seconds and its raw
+    physical signal values; scaling is applied here. Dispositions partition
+    the stream: every frame gets exactly one.
     """
     config = config or OnlineConfig()
     if scaling.signal_count != model.k:
         raise ValueError(
             f"scaling carries {scaling.signal_count} signals, model expects "
             f"{model.k}")
-    if isinstance(detector, StaticThreshold):
-        if variant != "ST":
-            raise ValueError("a StaticThreshold detector implies variant ST")
-        mode = "Max"
-    else:
-        if variant == "ST":
-            raise ValueError("variant ST requires a StaticThreshold detector")
-        mode = variant
-        expected_dim = model.k if variant == "Diff" else 1
-        if detector.dim != expected_dim:
-            raise ValueError(
-                f"detector dimension {detector.dim} does not fit variant "
-                f"{variant} with k={model.k}")
+    scorer = Scorer(model, detector, variant)
     L = model.hyper.subsequence_length
     state = RateCheckerState(expected_period_ms=expected_period_ms,
                              tolerance_fraction=config.tolerance_fraction)
     buf = HistoryBuffer(L)
     out: list[FrameDisposition] = []
-    for i, rec in enumerate(stream):
-        if isinstance(rec, TraceRecord):
-            raw = np.asarray(rec.signals, dtype=np.float64)
-            ts = rec.timestamp
-        else:
-            ts, raw = rec
-            raw = np.asarray(raw, dtype=np.float64)
+    for i, (ts, raw) in enumerate(stream):
+        raw = np.asarray(raw, dtype=np.float64)
         if raw.shape != (model.k,):
             raise ValueError(
                 f"frame {i} carries {raw.shape[0] if raw.ndim else 0} "
@@ -210,15 +187,11 @@ def run_online(stream, model: PredictorModel,
                                         rate_flag=flag, warmup=True))
             continue
         window = buf.window()
-        pred = predict_next(model, window)
-        dev = deviation_matrix(pred[None], scaled[None], mode)
-        if isinstance(detector, StaticThreshold):
-            score = float(static_scores(detector, dev)[0])
-        else:
-            score = float(decision_values(detector, dev)[0])
+        scores, preds = scorer.scores(window[None], scaled[None])
+        score = float(scores[0])
         if score < 0.0:
             if config.substitution == "prediction":
-                buf.push(pred)
+                buf.push(preds[0])
             else:
                 buf.push(np.array(window[-1]))
             out.append(FrameDisposition(index=i, timestamp=ts,
@@ -239,6 +212,6 @@ def dispositions_csv(dispositions: list[FrameDisposition],
     lines = [f"# {k}: {v}" for k, v in (provenance or {}).items()]
     lines.append("timestamp,disposition,score")
     for d in dispositions:
-        score = "" if d.score is None else f"{d.score:.9g}"
-        lines.append(f"{d.timestamp:.9g},{d.disposition},{score}")
+        score = "" if d.score is None else _fmt(d.score)
+        lines.append(f"{_fmt(d.timestamp)},{d.disposition},{score}")
     return "\n".join(lines) + "\n"

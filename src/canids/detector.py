@@ -8,6 +8,10 @@ boundary is equivalent to the minimal hypersphere description. The ST
 variant replaces the SVM with a fixed percentile threshold on the
 max-absolute deviation.
 
+Offline detection, detector fitting and the online gateway all take their
+deviations and scores from `deviations` and `Scorer`; `check_pairing` holds
+the rules for which detector serves which variant.
+
 The SVM dual, minimize 1/2 a^T K a subject to 0 <= a_i <= 1/(nu n) and
 sum a = 1, is solved by a maximal-violating-pair working-set loop. The nu
 parameter keeps its usual guarantee: it upper-bounds the fraction of
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model_io
+from .predictor import PredictorModel, predict_last_batch
 
 DEVIATION_MODES = ("Diff", "Sum", "Avg", "Max")
 VARIANTS = ("ST", "Diff", "Sum", "Avg", "Max")
@@ -74,6 +79,23 @@ def deviation_matrix(preds: np.ndarray, actuals: np.ndarray,
     raise ValueError(f"unknown deviation mode {mode!r}")
 
 
+def _predict_deviations(model: PredictorModel, variant: str,
+                        windows: np.ndarray, targets: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    preds = predict_last_batch(model, windows)
+    # ST thresholds the max-absolute deviation
+    mode = variant if variant != "ST" else "Max"
+    return preds, deviation_matrix(preds, targets, mode)
+
+
+def deviations(model: PredictorModel, variant: str, windows: np.ndarray,
+               targets: np.ndarray) -> np.ndarray:
+    """The model's deviations on scaled windows (N, L, k) from their
+    targets (N, k), in the variant's geometry: (N, k) rows for Diff,
+    (N, 1) for the others."""
+    return _predict_deviations(model, variant, windows, targets)[1]
+
+
 # --------------------------------------------------------------------------
 # nu-one-class SVM
 
@@ -122,16 +144,13 @@ class OcsvmModel:
 
 
 def fit_ocsvm(points: np.ndarray, nu: float = 0.01, gamma: float | None = None,
-              tol: float = 1e-3, max_iter: int = 10_000_000,
-              seed: int = 0) -> OcsvmModel:
+              tol: float = 1e-3, max_iter: int = 10_000_000) -> OcsvmModel:
     """Solve the one-class dual by repeated maximal-violating-pair updates.
 
     gamma defaults to 1/d (reciprocal of the feature count). The solver is
-    deterministic; `seed` is accepted for interface symmetry only. If tol
-    is not reached within max_iter updates the best iterate is returned
-    with converged=False and a warning.
+    deterministic. If tol is not reached within max_iter updates the best
+    iterate is returned with converged=False and a warning.
     """
-    del seed
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n, d = X.shape
     if n < 2:
@@ -207,16 +226,9 @@ def fit_ocsvm(points: np.ndarray, nu: float = 0.01, gamma: float | None = None,
                       converged=converged, kkt_gap=max(gap, 0.0))
 
 
-def ocsvm_decision(model: OcsvmModel, x: np.ndarray) -> float:
-    """f(x) = sum_i alpha_i K(sv_i, x) - rho. Positive means inside
-    (normal); the value doubles as the ROC score, lower = more anomalous."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise ValueError(f"expected a {model.dim}-dim point, got {x.shape}")
-    return float(decision_values(model, x[None])[0])
-
-
 def decision_values(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
+    """f(x) = sum_i alpha_i K(sv_i, x) - rho per row. Positive means inside
+    (normal); the value doubles as the ROC score, lower = more anomalous."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.dim:
         raise ValueError(
@@ -225,13 +237,8 @@ def decision_values(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
         - model.rho
 
 
-def classify(model: OcsvmModel, x: np.ndarray) -> str:
-    """Anomaly iff strictly outside the boundary (f < 0); f = 0 is normal."""
-    return "anomaly" if ocsvm_decision(model, x) < 0.0 else "normal"
-
-
 def anomaly_flags(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
-    """Vectorized classify: 1 = anomaly, 0 = normal."""
+    """1 = anomaly, strictly outside the boundary (f < 0); f = 0 is normal."""
     return (decision_values(model, X) < 0.0).astype(np.int64)
 
 
@@ -274,9 +281,59 @@ def static_scores(st: StaticThreshold, deviations: np.ndarray) -> np.ndarray:
     return st.threshold - np.abs(devs).max(axis=1)
 
 
-def static_flags(st: StaticThreshold, deviations: np.ndarray) -> np.ndarray:
-    """1 where max|delta| strictly exceeds the threshold."""
-    return (static_scores(st, deviations) < 0.0).astype(np.int64)
+# --------------------------------------------------------------------------
+# scoring
+
+
+def check_pairing(detector: OcsvmModel | StaticThreshold, variant: str,
+                  k: int | None = None) -> None:
+    """Raise ValueError unless `detector` can score `variant` deviations.
+
+    ST takes a StaticThreshold; Diff an OcsvmModel over k-dim deviation
+    vectors; Sum, Avg and Max an OcsvmModel over scalars. A detector file
+    carries no k, so k=None leaves the Diff dimension unchecked.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    if variant == "ST":
+        if not isinstance(detector, StaticThreshold):
+            raise ValueError("variant ST requires a StaticThreshold detector")
+        return
+    if not isinstance(detector, OcsvmModel):
+        raise ValueError(f"variant {variant} requires an OcsvmModel detector "
+                         "(only variant ST takes a StaticThreshold)")
+    expected_dim = k if variant == "Diff" else 1
+    if expected_dim is not None and detector.dim != expected_dim:
+        raise ValueError(
+            f"detector dimension {detector.dim} does not fit variant "
+            f"{variant}, which needs {expected_dim}")
+
+
+@dataclass(frozen=True)
+class Scorer:
+    """One variant's detection chain: predict each window's next row, take
+    the deviation in the variant's geometry, score it with the detector.
+
+    Windows and targets are scaled. Scores are positive for normal rows and
+    negative for anomalies. The pairing is checked once, at construction.
+    """
+
+    model: PredictorModel
+    detector: OcsvmModel | StaticThreshold
+    variant: str
+
+    def __post_init__(self) -> None:
+        check_pairing(self.detector, self.variant, self.model.k)
+
+    def scores(self, windows: np.ndarray, targets: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Scores (N,) for windows (N, L, k) against targets (N, k), and
+        the predictions (N, k) they were computed from."""
+        preds, devs = _predict_deviations(self.model, self.variant, windows,
+                                          targets)
+        if isinstance(self.detector, StaticThreshold):
+            return static_scores(self.detector, devs), preds
+        return decision_values(self.detector, devs), preds
 
 
 # --------------------------------------------------------------------------
@@ -288,8 +345,7 @@ _DETECTOR_VERSION = "detector-v1"
 def save_detector(det: OcsvmModel | StaticThreshold, variant: str,
                   path) -> None:
     """Persist a detector with the variant name that produced its inputs."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+    check_pairing(det, variant)
     if isinstance(det, StaticThreshold):
         meta = {"version": _DETECTOR_VERSION, "kind": "static-threshold",
                 "variant": variant, "threshold": det.threshold}
@@ -312,17 +368,21 @@ def load_detector(path) -> tuple[OcsvmModel | StaticThreshold, str]:
     if meta.get("version") != _DETECTOR_VERSION:
         raise ValueError(
             f"{path}: detector version {meta.get('version')!r} unsupported")
+    kind = meta.get("kind")
+    if kind == "static-threshold":
+        det = StaticThreshold(threshold=float(meta["threshold"]))
+    elif kind == "ocsvm":
+        det = OcsvmModel(
+            support_vectors=blocks["support_vectors"],
+            alphas=blocks["alphas"],
+            rho=float(meta["rho"]), gamma=float(meta["gamma"]),
+            nu=float(meta["nu"]), n_train=int(meta["n_train"]),
+            converged=bool(meta["converged"]), kkt_gap=float(meta["kkt_gap"]))
+    else:
+        raise ValueError(f"{path}: unknown detector kind {kind!r}")
     variant = meta.get("variant")
-    if variant not in VARIANTS:
-        raise ValueError(f"{path}: unknown variant {variant!r}")
-    if meta["kind"] == "static-threshold":
-        return StaticThreshold(threshold=float(meta["threshold"])), variant
-    if meta["kind"] != "ocsvm":
-        raise ValueError(f"{path}: unknown detector kind {meta['kind']!r}")
-    det = OcsvmModel(
-        support_vectors=blocks["support_vectors"],
-        alphas=blocks["alphas"],
-        rho=float(meta["rho"]), gamma=float(meta["gamma"]),
-        nu=float(meta["nu"]), n_train=int(meta["n_train"]),
-        converged=bool(meta["converged"]), kkt_gap=float(meta["kkt_gap"]))
+    try:
+        check_pairing(det, variant)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return det, variant

@@ -6,8 +6,8 @@ cannot sustain. Layers come in forward/backward pairs with explicit caches
 instead of an autodiff graph; parameters live in flat name->array dicts so
 the optimizer and the checker can treat them uniformly.
 
-Inputs may be single vectors (d,) or batches (B, d); batch members are
-independent forward passes.
+Inputs are batches (B, d) whose rows are independent passes; the forward
+step also takes a single vector (d,).
 """
 
 from __future__ import annotations
@@ -31,34 +31,6 @@ def init_linear(rng: np.random.Generator, d_out: int, d_in: int
     bound = 1.0 / np.sqrt(d_in)
     W = rng.uniform(-bound, bound, size=(d_out, d_in))
     return W, np.zeros(d_out)
-
-
-# --------------------------------------------------------------------------
-# linear layer
-
-def linear_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W x + b for a vector x, or row-wise for a batch."""
-    d_out, d_in = W.shape
-    if b.shape != (d_out,):
-        raise ValueError(f"bias shape {b.shape} does not match W {W.shape}")
-    if x.shape[-1] != d_in:
-        raise ValueError(f"input width {x.shape[-1]} does not match W {W.shape}")
-    return x @ W.T + b
-
-
-def linear_backward(W: np.ndarray, x: np.ndarray, g_out: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (gW, gb, gx) of a linear layer given upstream g_out."""
-    if g_out.shape[-1] != W.shape[0] or x.shape[-1] != W.shape[1]:
-        raise ValueError("gradient/input shapes do not match W")
-    if x.ndim == 1:
-        gW = np.outer(g_out, x)
-        gb = g_out.copy()
-    else:
-        gW = g_out.T @ x
-        gb = g_out.sum(axis=0)
-    gx = g_out @ W
-    return gW, gb, gx
 
 
 # --------------------------------------------------------------------------
@@ -140,7 +112,7 @@ def lstm_cell_forward(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray,
 
 def lstm_cell_backward(p: LstmCellParams, cache: tuple, g_h: np.ndarray,
                        g_c: np.ndarray) -> tuple:
-    """Backward of one step.
+    """Backward of one batched (B, d) step.
 
     g_h, g_c: upstream gradients on this step's h and c. Returns
     (g_x, g_h_prev, g_c_prev, gW_x, gW_h, gb).
@@ -158,14 +130,9 @@ def lstm_cell_backward(p: LstmCellParams, cache: tuple, g_h: np.ndarray,
         d_g * (1.0 - g * g),
         d_o * o * (1.0 - o),
     ], axis=-1)
-    if dz.ndim == 1:
-        gW_x = np.outer(dz, x)
-        gW_h = np.outer(dz, h_prev)
-        gb = dz.copy()
-    else:
-        gW_x = dz.T @ x
-        gW_h = dz.T @ h_prev
-        gb = dz.sum(axis=0)
+    gW_x = dz.T @ x
+    gW_h = dz.T @ h_prev
+    gb = dz.sum(axis=0)
     g_x = dz @ p.W_x
     g_h_prev = dz @ p.W_h
     return g_x, g_h_prev, g_c_prev, gW_x, gW_h, gb

@@ -24,6 +24,7 @@ from .tracegen import AttackSpec, generate_normal, inject_suite
 from .traces import (
     ScalingParams,
     Trace,
+    _fmt,
     apply_scaling,
     fit_and_scale,
     split_train_val,
@@ -140,11 +141,9 @@ def _subsample(X: np.ndarray, cap: int) -> np.ndarray:
 def deviations_for(model: pr.PredictorModel, scaling: ScalingParams,
                    trace: Trace, variant: str) -> np.ndarray:
     """Deviation rows over a trace's windows, in the variant's geometry."""
-    mode = "Max" if variant == "ST" else variant
-    scaled = apply_scaling(trace, scaling)
-    X, Y = window_arrays(scaled, model.hyper.subsequence_length)
-    preds = pr.predict_last_batch(model, X)
-    return det.deviation_matrix(preds, Y, mode)
+    X, Y = window_arrays(apply_scaling(trace, scaling),
+                         model.hyper.subsequence_length)
+    return det.deviations(model, variant, X, Y)
 
 
 def fit_detector_on(devs: np.ndarray, detcfg: DetectorConfig,
@@ -208,23 +207,13 @@ def detect_with(model: pr.PredictorModel, scaling: ScalingParams,
     that behavior belongs to the online controller pipeline). Rate flags
     come from inter-arrival times against the schema's nominal period.
     """
-    if variant == "ST" and not isinstance(detector, det.StaticThreshold):
-        raise ValueError("variant ST requires a StaticThreshold detector")
-    if variant != "ST" and not isinstance(detector, det.OcsvmModel):
-        raise ValueError(f"variant {variant} requires an OcsvmModel detector")
-    mode = "Max" if variant == "ST" else variant
+    scorer = det.Scorer(model, detector, variant)
     L = model.hyper.subsequence_length
     n = len(trace)
     if n < L + 1:
         raise ValueError(f"trace of length {n} too short for window L={L}")
-    scaled = apply_scaling(trace, scaling)
-    X, Y = window_arrays(scaled, L)
-    preds = pr.predict_last_batch(model, X)
-    devs = det.deviation_matrix(preds, Y, mode)
-    if isinstance(detector, det.StaticThreshold):
-        tail_scores = det.static_scores(detector, devs)
-    else:
-        tail_scores = det.decision_values(detector, devs)
+    X, Y = window_arrays(apply_scaling(trace, scaling), L)
+    tail_scores, _ = scorer.scores(X, Y)
     scores = np.full(n, np.nan)
     scores[L:] = tail_scores
     ml = np.zeros(n, dtype=np.int64)
@@ -268,9 +257,9 @@ def detection_csv(table: DetectionTable, provenance: dict | None = None) -> str:
     lines.append(f"# eval_from: {table.eval_from}")
     lines.append(_TABLE_HEADER)
     for i in range(len(table)):
-        score = "" if np.isnan(table.scores[i]) else f"{table.scores[i]:.9g}"
+        score = "" if np.isnan(table.scores[i]) else _fmt(table.scores[i])
         lines.append(
-            f"{table.timestamps[i]:.9g},{int(table.labels[i])},{score},"
+            f"{_fmt(table.timestamps[i])},{int(table.labels[i])},{score},"
             f"{int(table.ml_flag[i])},{int(table.rate_fast[i])},"
             f"{int(table.rate_slow[i])},{int(table.final_flag[i])}")
     return "\n".join(lines) + "\n"

@@ -164,32 +164,14 @@ def build_model(k: int, hyper: PredictorHyper | None = None,
 # forward / backward
 
 
-def self_attention(encoder_states: list[np.ndarray] | np.ndarray, s: int,
-                   model: PredictorModel) -> tuple[np.ndarray, np.ndarray]:
-    """Context phi_s and attention weights over states 1..s (1-based s).
-
-    score_j = <attn(h_s), h_j> for j <= s; alpha = softmax(scores);
-    a = sum_j alpha_j h_j; phi_s = tanh(combine([a ; h_s])).
-    """
-    states = np.asarray(encoder_states, dtype=np.float64)
-    if states.ndim != 2 or len(states) == 0:
-        raise ValueError("need a non-empty list of encoder state vectors")
-    if not 1 <= s <= len(states):
-        raise ValueError(f"step {s} outside available states 1..{len(states)}")
-    p = model.params
-    keys = states[:s]
-    h_s = states[s - 1]
-    q = h_s @ p["attn.W"].T + p["attn.b"]
-    alpha = softmax(keys @ q)
-    a = alpha @ keys
-    concat = np.concatenate([a, h_s])
-    phi = np.tanh(concat @ p["combine.W"].T + p["combine.b"])
-    return phi, alpha
-
-
 def _forward_batch(params: dict[str, np.ndarray], windows: np.ndarray,
                    want_cache: bool) -> tuple[np.ndarray, dict | None]:
-    """Run B windows of shape (B, L, k); returns predictions (B, L, k)."""
+    """Run B windows of shape (B, L, k); returns predictions (B, L, k).
+
+    Attention at step s: score_j = <attn(h2_s), h2_j> for j <= s,
+    alpha = softmax(scores), a = sum_j alpha_j h2_j and
+    phi_s = tanh(combine([a ; h2_s])).
+    """
     B, L, k = windows.shape
     H = params["attn.W"].shape[0]
     cell = {
@@ -304,23 +286,6 @@ def _backward_batch(params: dict[str, np.ndarray], cache: dict,
     return grads
 
 
-def forward(model: PredictorModel, window: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions for one window: (L, k) per-step predictions and the last
-    row, which is the model's estimate of the next message's signals."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] != model.k:
-        raise ValueError(
-            f"window must be (L, {model.k}), got {window.shape}")
-    preds, _ = _forward_batch(model.params, window[None], want_cache=False)
-    return preds[0], preds[0, -1]
-
-
-def predict_next(model: PredictorModel, window: np.ndarray) -> np.ndarray:
-    """The next-message prediction (scaled domain, like its inputs)."""
-    return forward(model, window)[1]
-
-
 def predict_last_batch(model: PredictorModel, windows: np.ndarray,
                        batch_size: int = 1024) -> np.ndarray:
     """Last-step predictions for many windows (N, L, k) -> (N, k)."""
@@ -383,7 +348,7 @@ def _epoch_loss(params: dict, X: np.ndarray, Y: np.ndarray,
 
 
 def train(model: PredictorModel, train_trace: Trace, val_trace: Trace,
-          hyper: PredictorHyper | None = None, seed: int = 0
+          hyper: PredictorHyper | None = None
           ) -> tuple[PredictorModel, TrainHistory]:
     """Fit the predictor on scaled traces; returns a new model.
 
@@ -391,12 +356,9 @@ def train(model: PredictorModel, train_trace: Trace, val_trace: Trace,
     relationships are the signal being learned). Validation loss is
     measured after every epoch; training stops when it fails to improve
     for `patience` consecutive epochs or at max_epochs, and the weights
-    of the best epoch are restored.
-
-    `seed` is accepted for interface symmetry: the procedure draws no
-    randomness beyond the model's own initialization.
+    of the best epoch are restored. The procedure draws no randomness
+    beyond the model's own initialization.
     """
-    del seed
     hyper = hyper or model.hyper
     L = hyper.subsequence_length
     X_tr, Y_tr = window_arrays(train_trace, L)

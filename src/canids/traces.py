@@ -10,7 +10,8 @@ Trace file format (one file per message ID)::
 
     timestamp,message_id,k,sig_1,...,sig_k,label
 
-Floats are rendered with 9 significant digits, the message ID in hex.
+Floats are rendered with `repr`, the shortest string that parses back to
+the identical double; the message ID is in hex.
 Lines starting with '#' are provenance comments and are skipped.
 """
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -174,10 +174,6 @@ class Trace:
             label=int(self.labels[i]),
         )
 
-    def records(self) -> Iterator[TraceRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
-
     @classmethod
     def from_records(
         cls,
@@ -213,14 +209,6 @@ class Trace:
             labels=self.labels if labels is None else labels,
             scaling=self.scaling if scaling == "keep" else scaling,
         )
-
-
-@dataclass(frozen=True)
-class WindowPair:
-    """One rolling-window training example: L input rows and the next row."""
-
-    input: np.ndarray  # (L, k)
-    target: np.ndarray  # (k,)
 
 
 # --------------------------------------------------------------------------
@@ -435,8 +423,3 @@ def window_arrays(trace: Trace, length: int) -> tuple[np.ndarray, np.ndarray]:
     targets = trace.signals[length:]
     return inputs, targets
 
-
-def windows(trace: Trace, length: int) -> list[WindowPair]:
-    """The rolling-window pairs of `window_arrays` as WindowPair objects."""
-    inputs, targets = window_arrays(trace, length)
-    return [WindowPair(input=inputs[i], target=targets[i]) for i in range(len(targets))]

@@ -217,7 +217,7 @@ def test_c04_predictor_learning():
                                patience=n_epochs - 1, loss_mode="all")
         if model is None:
             model = build_model(k=3, hyper=hyper, seed=101)
-        model, hist = train(model, tr, va, hyper=hyper, seed=101)
+        model, hist = train(model, tr, va, hyper=hyper)
         best = min(best, min(hist.val_loss))
     dt = time.monotonic() - t0
     ok = best < 0.25 * floor and dt < 900.0

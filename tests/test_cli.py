@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from canids import model_io
 from canids.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from canids.detector import load_detector
 from canids.pipeline import parse_detection_csv
@@ -241,6 +242,21 @@ class TestExitCodes:
                    "--model", str(bad), "--variant", "Diff",
                    "--out", str(tmp_path / "d.det")])
         assert rc == EXIT_VALIDATION
+
+    def test_detector_file_unfit_for_its_variant_is_validation(self, ws,
+                                                              tmp_path):
+        # the 2-dim Diff SVM relabelled Sum, which needs a 1-dim detector
+        meta, blocks = model_io.load_arrays(ws["det_diff"],
+                                            expected_type="detector")
+        bad = tmp_path / "sum.det"
+        model_io.save_arrays(bad, "detector", {**meta, "variant": "Sum"},
+                             blocks)
+        out = tmp_path / "out.csv"
+        rc = main(["detect", "--trace", str(ws["attacked"]),
+                   "--model", str(ws["model"]), "--detector", str(bad),
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert not out.exists()
 
     def test_unwritable_output_is_runtime(self, ws, tmp_path):
         # --out pointing at an existing directory: an I/O failure, not a

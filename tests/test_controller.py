@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from canids.controller import (
     FrameDisposition,
@@ -13,9 +15,10 @@ from canids.controller import (
     rate_flags,
     run_online,
 )
-from canids.detector import StaticThreshold, fit_ocsvm
+from canids.detector import VARIANTS, OcsvmModel, StaticThreshold, fit_ocsvm
+from canids.pipeline import detect_with
 from canids.predictor import PredictorHyper, build_model
-from canids.traces import ScalingParams
+from canids.traces import MessageSchema, ScalingParams, Trace
 
 HYPER = PredictorHyper(subsequence_length=4, embed_dim=4, hidden_dim=4,
                        batch_size=8, learning_rate=1e-3, max_epochs=3,
@@ -219,6 +222,42 @@ class TestRunOnline:
                              score=None, rate_flag="ok", warmup=False)
 
 
+def _never_flags(variant: str, dim: int, rng) -> OcsvmModel | StaticThreshold:
+    """A detector for `variant` whose score is positive for any deviation."""
+    if variant == "ST":
+        return StaticThreshold(threshold=100.0)
+    # f = sum_i alpha_i K(sv_i, x) - rho >= -rho = 1
+    return OcsvmModel(support_vectors=rng.normal(size=(2, dim)),
+                      alphas=np.array([0.5, 0.5]), rho=-1.0, gamma=1.0,
+                      nu=1.0, n_train=2)
+
+
+class TestOfflineOnlineEquivalence:
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(k=hs.integers(1, 4), L=hs.integers(1, 8), extra=hs.integers(1, 40),
+           seed=hs.integers(0, 2**32 - 1), variant=hs.sampled_from(VARIANTS))
+    def test_scores_agree_when_nothing_is_dropped(self, k, L, extra, seed,
+                                                  variant):
+        rng = np.random.default_rng(seed)
+        hyper = PredictorHyper(subsequence_length=L, embed_dim=4,
+                               hidden_dim=4, batch_size=8,
+                               learning_rate=1e-3, max_epochs=3, patience=2)
+        model = build_model(k=k, hyper=hyper, seed=seed)
+        n = L + extra
+        schema = MessageSchema(message_id=0x101, signal_count=k,
+                               nominal_period_ms=15.0)
+        trace = Trace(schema=schema, timestamps=np.arange(n) * 0.015,
+                      signals=rng.uniform(size=(n, k)),
+                      labels=np.zeros(n, dtype=np.int64))
+        detector = _never_flags(variant, k if variant == "Diff" else 1, rng)
+        offline = detect_with(model, _unit_scaling(k), detector, variant,
+                              trace)
+        online = run_online(zip(trace.timestamps, trace.signals), model,
+                            detector, variant, _unit_scaling(k), 15.0)
+        assert all(d.disposition == "Delivered" for d in online)
+        assert [d.score for d in online[L:]] == offline.scores[L:].tolist()
+
+
 class TestDispositionsCsv:
     def test_layout(self):
         rows = [
@@ -232,5 +271,19 @@ class TestDispositionsCsv:
         lines = text.strip().splitlines()
         assert lines[0] == "# tool: canids 0"
         assert lines[1] == "timestamp,disposition,score"
-        assert lines[2] == "0,Delivered,"
+        assert lines[2] == "0.0,Delivered,"
         assert lines[3] == "0.015,DroppedAnomalous,-0.25"
+
+    def test_epoch_timestamps_and_scores_round_trip(self):
+        rng = np.random.default_rng(8)
+        ts = 1.7e9 + np.arange(2000) * 0.015
+        scores = rng.normal(size=2000)
+        rows = [FrameDisposition(index=i, timestamp=ts[i],
+                                 disposition="Delivered", score=scores[i],
+                                 rate_flag="ok", warmup=False)
+                for i in range(2000)]
+        lines = dispositions_csv(rows).strip().splitlines()[1:]
+        back = np.array([[float(v) for v in ln.split(",")[::2]]
+                         for ln in lines])
+        assert np.array_equal(back[:, 0], ts)
+        assert np.array_equal(back[:, 1], scores)

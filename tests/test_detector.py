@@ -4,23 +4,25 @@ static-threshold detector."""
 import numpy as np
 import pytest
 
+from canids import model_io
 from canids.detector import (
     OcsvmModel,
     StaticThreshold,
+    Scorer,
     anomaly_flags,
-    classify,
+    check_pairing,
     decision_values,
     deviation,
     deviation_matrix,
+    deviations,
     fit_ocsvm,
     fit_static_threshold,
     load_detector,
-    ocsvm_decision,
     rbf_kernel,
     save_detector,
-    static_flags,
     static_scores,
 )
+from canids.predictor import PredictorHyper, build_model, predict_last_batch
 
 from oracles import qp_ocsvm_oracle, rbf_oracle
 
@@ -154,16 +156,15 @@ class TestOcsvmBehavior:
     def test_identical_points_are_normal_far_points_anomalous(self):
         X = np.zeros((10, 2))
         model = fit_ocsvm(X, nu=0.5, gamma=1.0)
-        assert classify(model, np.zeros(2)) == "normal"
-        assert classify(model, np.array([10.0, 10.0])) == "anomaly"
+        pts = np.array([[0.0, 0.0], [10.0, 10.0]])
+        assert anomaly_flags(model, pts).tolist() == [0, 1]
 
     def test_boundary_value_is_normal(self):
         # two coincident support vectors, rho exactly at the kernel value
         model = OcsvmModel(support_vectors=np.zeros((2, 1)),
                            alphas=np.array([0.5, 0.5]), rho=1.0,
                            gamma=1.0, nu=0.5, n_train=2)
-        assert ocsvm_decision(model, np.zeros(1)) == 0.0
-        assert classify(model, np.zeros(1)) == "normal"
+        assert decision_values(model, np.zeros((1, 1)))[0] == 0.0
         assert anomaly_flags(model, np.array([[0.0], [5.0]])).tolist() == [0, 1]
 
     def test_gamma_defaults_to_reciprocal_dimension(self):
@@ -177,8 +178,9 @@ class TestOcsvmBehavior:
         pts = np.random.default_rng(9).normal(size=(6, 2))
         vec = decision_values(model, pts)
         for i in range(6):
-            assert vec[i] == pytest.approx(ocsvm_decision(model, pts[i]),
-                                           abs=1e-15)
+            one = decision_values(model, pts[i][None])
+            assert one.shape == (1,)
+            assert vec[i] == pytest.approx(one[0], abs=1e-15)
 
     def test_max_iter_exhaustion_warns(self):
         X = np.random.default_rng(10).normal(size=(30, 2))
@@ -225,7 +227,7 @@ class TestStaticThreshold:
         scores = static_scores(st, devs)
         assert np.allclose(scores, [-0.1, 0.0, 0.3])
         # strict: exactly at the threshold is still normal
-        assert static_flags(st, devs).tolist() == [1, 0, 0]
+        assert (scores < 0).tolist() == [True, False, False]
 
     def test_all_zero_deviations_floor_the_threshold(self):
         st = fit_static_threshold(np.zeros((50, 3)))
@@ -274,3 +276,77 @@ class TestDetectorSerialization:
         st = StaticThreshold(threshold=1.0)
         with pytest.raises(ValueError, match="variant"):
             save_detector(st, "Median", tmp_path / "x.canids")
+
+
+def _svm(dim: int) -> OcsvmModel:
+    X = np.random.default_rng(13).normal(size=(12, dim))
+    return fit_ocsvm(X, nu=0.3)
+
+
+class TestPairing:
+    @pytest.mark.parametrize("variant, dim, k, match", [
+        ("ST", 2, 2, "StaticThreshold"),
+        ("Diff", None, 2, "OcsvmModel"),
+        ("Diff", 1, 2, "dimension"),
+        ("Sum", 2, 2, "dimension"),
+        ("Max", 2, None, "dimension"),
+        ("Median", 1, 2, "variant"),
+    ])
+    def test_mismatches_rejected(self, variant, dim, k, match):
+        det = StaticThreshold(1.0) if dim is None else _svm(dim)
+        with pytest.raises(ValueError, match=match):
+            check_pairing(det, variant, k)
+
+    @pytest.mark.parametrize("variant, dim, k", [
+        ("ST", None, 3), ("Diff", 3, 3), ("Diff", 3, None), ("Sum", 1, 3),
+        ("Avg", 1, 3), ("Max", 1, None),
+    ])
+    def test_matches_accepted(self, variant, dim, k):
+        det = StaticThreshold(1.0) if dim is None else _svm(dim)
+        check_pairing(det, variant, k)
+
+    def test_save_rejects_threshold_for_diff(self, tmp_path):
+        path = tmp_path / "x.canids"
+        with pytest.raises(ValueError, match="OcsvmModel"):
+            save_detector(StaticThreshold(threshold=1.0), "Diff", path)
+        assert not path.exists()
+
+    def test_load_rejects_sum_file_with_2d_svm(self, tmp_path):
+        path = tmp_path / "x.canids"
+        save_detector(_svm(2), "Diff", path)
+        meta, blocks = model_io.load_arrays(path, expected_type="detector")
+        model_io.save_arrays(path, "detector", {**meta, "variant": "Sum"},
+                             blocks)
+        with pytest.raises(ValueError, match="dimension"):
+            load_detector(path)
+
+
+class TestScorer:
+    HYPER = PredictorHyper(subsequence_length=4, embed_dim=4, hidden_dim=4,
+                           batch_size=8, learning_rate=1e-3, max_epochs=3,
+                           patience=2)
+
+    @pytest.mark.parametrize("variant", ["ST", "Diff", "Sum", "Avg", "Max"])
+    def test_scores_follow_the_chain(self, variant):
+        model = build_model(k=2, hyper=self.HYPER, seed=0)
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(9, 4, 2))
+        Y = rng.normal(size=(9, 2))
+        preds = predict_last_batch(model, X)
+        mode = "Max" if variant == "ST" else variant
+        devs = deviation_matrix(preds, Y, mode)
+        assert np.array_equal(deviations(model, variant, X, Y), devs)
+        if variant == "ST":
+            det = StaticThreshold(threshold=0.5)
+            expected = static_scores(det, devs)
+        else:
+            det = _svm(devs.shape[1])
+            expected = decision_values(det, devs)
+        scores, got_preds = Scorer(model, det, variant).scores(X, Y)
+        assert np.array_equal(scores, expected)
+        assert np.array_equal(got_preds, preds)
+
+    def test_pairing_checked_at_construction(self):
+        model = build_model(k=3, hyper=self.HYPER, seed=0)
+        with pytest.raises(ValueError, match="dimension"):
+            Scorer(model, _svm(2), "Diff")

@@ -12,54 +12,13 @@ from canids.nn import (
     LstmCellParams,
     adam_step,
     grad_check,
-    init_linear,
     init_lstm_cell,
-    linear_backward,
-    linear_forward,
     lstm_cell_backward,
     lstm_cell_forward,
     mse_loss,
     relative_error,
     softmax,
 )
-
-
-class TestLinear:
-    def test_identity(self):
-        out = linear_forward(np.eye(2), np.zeros(2), np.array([1.0, 2.0]))
-        assert np.array_equal(out, [1.0, 2.0])
-
-    def test_zero_map_returns_bias(self):
-        out = linear_forward(np.zeros((1, 3)), np.array([3.0]),
-                             np.array([9.0, -1.0, 4.0]))
-        assert np.array_equal(out, [3.0])
-
-    def test_batch_rows_independent(self):
-        rng = np.random.default_rng(0)
-        W, b = init_linear(rng, 3, 4)
-        X = rng.normal(size=(5, 4))
-        batched = linear_forward(W, b, X)
-        for i in range(5):
-            assert np.allclose(batched[i], linear_forward(W, b, X[i]))
-
-    def test_backward_matches_finite_differences(self):
-        rng = np.random.default_rng(1)
-        W, b = init_linear(rng, 3, 4)
-        x = rng.normal(size=4)
-        target = rng.normal(size=3)
-
-        def fn(params):
-            y = linear_forward(params["W"], params["b"], params["x"])
-            loss, g_y = mse_loss(y, target)
-            gW, gb, gx = linear_backward(params["W"], params["x"], g_y)
-            return loss, {"W": gW, "b": gb, "x": gx}
-
-        errs = grad_check(fn, {"W": W, "b": b, "x": x})
-        assert max(errs.values()) < 1e-6
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            linear_forward(np.eye(2), np.zeros(3), np.ones(2))
 
 
 class TestLstmCell:
@@ -93,20 +52,21 @@ class TestLstmCell:
         rng = np.random.default_rng(2)
         H, D, T = 3, 2, 3
         p = init_lstm_cell(rng, H, D)
-        xs = rng.normal(size=(T, D))
-        target = rng.normal(size=H)
+        # a batch of one: (T, 1, D) inputs, (1, H) states
+        xs = rng.normal(size=(T, 1, D))
+        target = rng.normal(size=(1, H))
 
         def fn(params):
             cell = LstmCellParams(W_x=params["W_x"], W_h=params["W_h"],
                                   b=params["b"])
-            h = np.zeros(H)
-            c = np.zeros(H)
+            h = np.zeros((1, H))
+            c = np.zeros((1, H))
             caches = []
             for t in range(T):
                 h, c, cache = lstm_cell_forward(cell, xs[t], h, c)
                 caches.append(cache)
             loss, g_h = mse_loss(h, target)
-            g_c = np.zeros(H)
+            g_c = np.zeros((1, H))
             gWx = np.zeros_like(params["W_x"])
             gWh = np.zeros_like(params["W_h"])
             gb = np.zeros_like(params["b"])

@@ -294,6 +294,21 @@ class TestDetectionCsv:
         for col in ("ml_flag", "rate_fast", "rate_slow", "final_flag"):
             assert np.array_equal(getattr(back, col), getattr(t, col))
 
+    def test_epoch_timestamps_and_scores_round_trip(self):
+        n = 2000
+        rng = np.random.default_rng(3)
+        zeros = np.zeros(n, dtype=np.int64)
+        scores = rng.normal(size=n)
+        scores[:2] = np.nan
+        t = DetectionTable(
+            message_id=0x55, variant="Diff", eval_from=2,
+            timestamps=1.7e9 + np.arange(n) * 0.015, labels=zeros,
+            scores=scores, ml_flag=zeros, rate_fast=zeros, rate_slow=zeros,
+            final_flag=zeros)
+        back = parse_detection_csv(detection_csv(t))
+        assert np.array_equal(back.timestamps, t.timestamps)
+        assert np.array_equal(back.scores, t.scores, equal_nan=True)
+
     def test_header_required(self):
         text = ("# message_id: 0x55\n# variant: Diff\n# eval_from: 2\n"
                 "time,label\n")

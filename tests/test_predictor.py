@@ -8,16 +8,14 @@ from canids.predictor import (
     PredictorHyper,
     PredictorModel,
     TrainHistory,
+    _forward_batch,
     build_model,
-    forward,
     load_model_file,
     loss_and_grads,
     param_shapes,
     parameter_count_note,
     predict_last_batch,
-    predict_next,
     save_model,
-    self_attention,
     train,
 )
 from canids.tracegen import SignalGenSpec, generate_normal
@@ -97,36 +95,31 @@ class TestCausality:
         w1 = rng.normal(size=(6, 2))
         w2 = w1.copy()
         w2[3:] += rng.normal(size=(3, 2))  # only rows 3.. differ
-        p1, _ = forward(m, w1)
-        p2, _ = forward(m, w2)
+        preds, _ = _forward_batch(m.params, np.stack([w1, w2]),
+                                  want_cache=False)
+        p1, p2 = preds
         assert np.array_equal(p1[:3], p2[:3])
         assert not np.allclose(p1[3:], p2[3:])
 
     def test_attention_weights_are_a_distribution(self):
-        m = build_model(k=2, hyper=TINY, seed=1)
-        rng = np.random.default_rng(1)
-        states = rng.normal(size=(5, 4))
+        m = build_model(k=2, hyper=PredictorHyper(
+            subsequence_length=5, embed_dim=4, hidden_dim=4), seed=1)
+        windows = np.random.default_rng(1).normal(size=(3, 5, 2))
+        _, cache = _forward_batch(m.params, windows, want_cache=True)
         for s in (1, 3, 5):
-            phi, alpha = self_attention(states, s, m)
-            assert alpha.shape == (s,)
+            alpha = cache["alpha"][s - 1]
+            assert alpha.shape == (3, s)
             assert (alpha >= 0).all()
-            assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
-            assert phi.shape == (4,)
+            assert np.allclose(alpha.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            phi = cache["phi"][s - 1]
+            assert phi.shape == (3, 4)
             assert (np.abs(phi) <= 1.0).all()  # tanh output
 
     def test_first_step_attends_only_to_itself(self):
         m = build_model(k=2, hyper=TINY, seed=2)
-        states = np.random.default_rng(2).normal(size=(4, 4))
-        _, alpha = self_attention(states, 1, m)
-        assert np.array_equal(alpha, [1.0])
-
-    def test_step_out_of_range_rejected(self):
-        m = build_model(k=2, hyper=TINY, seed=0)
-        states = np.zeros((3, 4))
-        with pytest.raises(ValueError):
-            self_attention(states, 4, m)
-        with pytest.raises(ValueError):
-            self_attention(states, 0, m)
+        windows = np.random.default_rng(2).normal(size=(3, 4, 2))
+        _, cache = _forward_batch(m.params, windows, want_cache=True)
+        assert np.array_equal(cache["alpha"][0], np.ones((3, 1)))
 
 
 class TestGradients:
@@ -166,17 +159,10 @@ class TestForward:
         # BLAS may sum in a different order for different batch shapes
         assert np.allclose(a, b, rtol=0, atol=1e-14)
 
-    def test_predict_next_is_last_row_of_forward(self):
-        m = build_model(k=2, hyper=TINY, seed=6)
-        w = np.random.default_rng(6).normal(size=(4, 2))
-        preds, last = forward(m, w)
-        assert np.array_equal(predict_next(m, w), last)
-        assert np.array_equal(preds[-1], last)
-
     def test_wrong_window_width_rejected(self):
         m = build_model(k=2, hyper=TINY, seed=0)
         with pytest.raises(ValueError):
-            forward(m, np.zeros((4, 3)))
+            predict_last_batch(m, np.zeros((1, 4, 3)))
 
 
 def _sine_traces():
@@ -196,7 +182,7 @@ class TestTraining:
                                hidden_dim=8, batch_size=64,
                                learning_rate=0.01, max_epochs=40, patience=39)
         model = build_model(k=1, hyper=hyper, seed=0)
-        trained, hist = train(model, tr, va, seed=0)
+        trained, hist = train(model, tr, va)
         X_va, Y_va = window_arrays(va, 8)
         floor = persistence_mse(X_va, Y_va)
         best = min(hist.val_loss)
@@ -209,7 +195,7 @@ class TestTraining:
                                hidden_dim=4, batch_size=64,
                                learning_rate=0.05, max_epochs=200, patience=3)
         model = build_model(k=1, hyper=hyper, seed=1)
-        trained, hist = train(model, tr, va, seed=0)
+        trained, hist = train(model, tr, va)
         if hist.stop_reason == "patience":
             assert len(hist.val_loss) < 200
             assert hist.best_epoch <= len(hist.val_loss) - 1 - 3
@@ -226,7 +212,7 @@ class TestTraining:
                                learning_rate=0.01, max_epochs=2, patience=1)
         model = build_model(k=1, hyper=hyper, seed=2)
         before = {n: p.copy() for n, p in model.params.items()}
-        trained, _ = train(model, tr, va, seed=0)
+        trained, _ = train(model, tr, va)
         for name in before:
             assert np.array_equal(model.params[name], before[name])
         assert any(not np.array_equal(trained.params[n], before[n])

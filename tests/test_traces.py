@@ -15,7 +15,6 @@ from canids.traces import (
     save_scaling,
     split_train_val,
     window_arrays,
-    windows,
     write_trace,
 )
 
@@ -245,15 +244,6 @@ class TestWindows:
         X, _ = window_arrays(t, 8)
         for i in range(len(X) - 1):
             assert np.array_equal(X[i][1:], X[i + 1][:-1])
-
-    def test_iterator_agrees_with_arrays(self):
-        t = make_trace(n=12, seed=4)
-        X, Y = window_arrays(t, 5)
-        pairs = list(windows(t, 5))
-        assert len(pairs) == len(X)
-        for i, wp in enumerate(pairs):
-            assert np.array_equal(wp.input, X[i])
-            assert np.array_equal(wp.target, Y[i])
 
     def test_too_short_trace_rejected(self):
         with pytest.raises(ValueError):
