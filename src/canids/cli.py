@@ -3,8 +3,8 @@ eval, simulate.
 
 Each command validates its inputs before writing anything. Exit codes:
 0 success, 1 validation failure (bad config, bad flags, missing or
-malformed input files), 2 runtime failure (training divergence, I/O
-errors mid-write).
+malformed input files), 2 runtime failure (training divergence, a
+non-finite value met in scoring, I/O errors mid-write).
 
 Every output file carries a provenance header: tool version, config
 hash, and the seed in effect. Headers deliberately omit wall-clock
@@ -379,6 +379,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except pr.TrainingDiverged as exc:
         print(f"canids: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except ArithmeticError as exc:
+        print(f"canids: numeric error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (OSError, RuntimeError) as exc:
         print(f"canids: runtime error: {exc}", file=sys.stderr)

@@ -14,6 +14,11 @@ the dropping-attack indicator.
 
 Until the buffer has collected L accepted frames the stream is in warm-up:
 frames are rate-checked and buffered but delivered unscored.
+
+A frame whose scaled payload is not all finite (a NaN or infinite signal)
+cannot be scored and must never reach the buffer: it is dropped as
+anomalous with no score, and after warm-up the configured substitution
+takes its place in the buffer.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detector import OcsvmModel, Scorer, StaticThreshold
-from .predictor import PredictorModel
+from .predictor import PredictorModel, predict_last_batch
 from .traces import ScalingParams, _fmt
 
 DISPOSITIONS = ("Delivered", "DroppedAnomalous", "DroppedRateViolation")
@@ -126,7 +131,8 @@ class FrameDisposition:
     index: int
     timestamp: float
     disposition: str  # one of DISPOSITIONS
-    score: float | None  # None for unscored frames (warm-up / rate drops)
+    score: float | None  # None for unscored frames (warm-up, rate drops,
+                         # non-finite payloads)
     rate_flag: str  # ok / too_fast / too_slow
     warmup: bool
 
@@ -154,6 +160,12 @@ def run_online(stream, model: PredictorModel,
     Each frame of `stream` is its arrival time in seconds and its raw
     physical signal values; scaling is applied here. Dispositions partition
     the stream: every frame gets exactly one.
+
+    A frame that passes the rate check but whose scaled payload holds a NaN
+    or an infinity is DroppedAnomalous with score None and never enters the
+    history buffer. During warm-up nothing is pushed in its place; after
+    warm-up the configured substitution (the model's prediction, or the
+    last buffered value) is pushed, as for any anomalous drop.
     """
     config = config or OnlineConfig()
     if scaling.signal_count != model.k:
@@ -180,18 +192,24 @@ def run_online(stream, model: PredictorModel,
                                         warmup=not buf.full))
             continue
         scaled = scaling.apply(raw)
+        finite = bool(np.isfinite(scaled).all())
         if not buf.full:
-            buf.push(scaled)
-            out.append(FrameDisposition(index=i, timestamp=ts,
-                                        disposition="Delivered", score=None,
-                                        rate_flag=flag, warmup=True))
+            if finite:
+                buf.push(scaled)
+            out.append(FrameDisposition(
+                index=i, timestamp=ts,
+                disposition="Delivered" if finite else "DroppedAnomalous",
+                score=None, rate_flag=flag, warmup=True))
             continue
         window = buf.window()
-        scores, preds = scorer.scores(window[None], scaled[None])
-        score = float(scores[0])
-        if score < 0.0:
+        if finite:
+            scores, preds = scorer.scores(window[None], scaled[None])
+            score, pred = float(scores[0]), preds[0]
+        else:
+            score, pred = None, predict_last_batch(model, window[None])[0]
+        if score is None or score < 0.0:
             if config.substitution == "prediction":
-                buf.push(preds[0])
+                buf.push(pred)
             else:
                 buf.push(np.array(window[-1]))
             out.append(FrameDisposition(index=i, timestamp=ts,

@@ -28,7 +28,6 @@ import numpy as np
 from . import model_io
 from .predictor import PredictorModel, predict_last_batch
 
-DEVIATION_MODES = ("Diff", "Sum", "Avg", "Max")
 VARIANTS = ("ST", "Diff", "Sum", "Avg", "Max")
 
 

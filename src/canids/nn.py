@@ -8,6 +8,11 @@ the optimizer and the checker can treat them uniformly.
 
 Inputs are batches (B, d) whose rows are independent passes; the forward
 step also takes a single vector (d,).
+
+Finiteness is checked at the boundaries, not per step: the predictor
+rejects non-finite weights once, when a model is built, trained or loaded,
+and checks its predictions once per forward pass. The LSTM cell itself
+checks only shapes. `softmax` and `adam_step` check their own inputs.
 """
 
 from __future__ import annotations
@@ -37,12 +42,10 @@ def init_linear(rng: np.random.Generator, d_out: int, d_in: int
 # LSTM cell
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: 1/(1+e^-z) for z >= 0 and
+    e^z/(1+e^z) below, both written with e = e^-|z| <= 1."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,8 @@ class LstmCellParams:
     """One LSTM cell: gate rows stacked [input; forget; candidate; output].
 
     W_x: (4H, D) input-to-gate, W_h: (4H, H) hidden-to-gate, b: (4H,).
+    Only shapes are checked here; the owner of the weights checks that they
+    are finite (see `predictor.PredictorModel`).
     """
 
     W_x: np.ndarray
@@ -67,8 +72,6 @@ class LstmCellParams:
             raise ValueError(
                 f"inconsistent LSTM shapes: W_x {self.W_x.shape}, "
                 f"W_h {self.W_h.shape}, b {self.b.shape}")
-        for name in ("W_x", "W_h", "b"):
-            _check_finite(name, getattr(self, name))
 
     @property
     def hidden_dim(self) -> int:
@@ -99,14 +102,16 @@ def lstm_cell_forward(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray,
     if h_prev.shape[-1] != H or c_prev.shape[-1] != H:
         raise ValueError("state width does not match hidden_dim")
     z = x @ p.W_x.T + h_prev @ p.W_h.T + p.b
-    i = _sigmoid(z[..., 0:H])
-    f = _sigmoid(z[..., H: 2 * H])
+    # one sigmoid pass over all four gate blocks; the candidate block's
+    # sigmoid is discarded, which costs less than three separate passes
+    gates = _sigmoid(z)
+    i = gates[..., 0:H]
+    f = gates[..., H: 2 * H]
     g = np.tanh(z[..., 2 * H: 3 * H])
-    o = _sigmoid(z[..., 3 * H: 4 * H])
+    o = gates[..., 3 * H: 4 * H]
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    _check_finite("lstm hidden state", h)
     return h, c, (x, h_prev, c_prev, i, f, g, o, tc)
 
 

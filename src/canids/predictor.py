@@ -24,6 +24,7 @@ from . import model_io
 from .nn import (
     AdamState,
     LstmCellParams,
+    _check_finite,
     adam_step,
     init_linear,
     init_lstm_cell,
@@ -95,6 +96,13 @@ def param_shapes(k: int, embed_dim: int, hidden_dim: int) -> dict[str, tuple]:
 
 @dataclass(frozen=True)
 class PredictorModel:
+    """A predictor's architecture and weights.
+
+    Construction checks every parameter block's shape and rejects
+    non-finite weights, so built, trained and loaded models are all
+    checked once here and the forward pass does not re-scan them.
+    """
+
     k: int
     hyper: PredictorHyper
     params: dict[str, np.ndarray]
@@ -110,6 +118,8 @@ class PredictorModel:
                 raise ValueError(
                     f"block {name!r} has shape {self.params[name].shape}, "
                     f"expected {shape}")
+            if not np.isfinite(self.params[name]).all():
+                raise ValueError(f"block {name!r} holds non-finite values")
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -125,14 +135,6 @@ class PredictorModel:
         combine = h * 2 * h + h
         out = k * h + k
         return embed + enc1 + 3 * stacked + attn + combine + out
-
-    def cells(self) -> dict[str, LstmCellParams]:
-        p = self.params
-        return {
-            name: LstmCellParams(W_x=p[f"{name}.W_x"], W_h=p[f"{name}.W_h"],
-                                 b=p[f"{name}.b"])
-            for name in ("enc1", "enc2", "dec1", "dec2")
-        }
 
 
 def build_model(k: int, hyper: PredictorHyper | None = None,
@@ -288,13 +290,18 @@ def _backward_batch(params: dict[str, np.ndarray], cache: dict,
 
 def predict_last_batch(model: PredictorModel, windows: np.ndarray,
                        batch_size: int = 1024) -> np.ndarray:
-    """Last-step predictions for many windows (N, L, k) -> (N, k)."""
+    """Last-step predictions for many windows (N, L, k) -> (N, k).
+
+    Raises FloatingPointError if any prediction is not finite, which
+    happens when a window holds non-finite values.
+    """
     windows = np.asarray(windows, dtype=np.float64)
     out = np.empty((len(windows), model.k))
     for lo in range(0, len(windows), batch_size):
         preds, _ = _forward_batch(model.params, windows[lo: lo + batch_size],
                                   want_cache=False)
         out[lo: lo + len(preds)] = preds[:, -1]
+    _check_finite("predictions", out)
     return out
 
 

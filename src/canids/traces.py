@@ -78,7 +78,7 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class ScalingParams:
-    """Per-signal (min, max) pairs for 0-1 scaling."""
+    """Per-signal (min, max) pairs for 0-1 scaling; every bound is finite."""
 
     mins: np.ndarray
     maxs: np.ndarray
@@ -96,6 +96,10 @@ class ScalingParams:
         if not self.signal_names:
             names = tuple(f"sig_{i + 1}" for i in range(len(mins)))
             object.__setattr__(self, "signal_names", names)
+        bad = ~(np.isfinite(mins) & np.isfinite(maxs))
+        if bad.any():
+            names = ", ".join(n for n, b in zip(self.signal_names, bad) if b)
+            raise ValueError(f"non-finite min or max for signal(s) {names}")
 
     @property
     def signal_count(self) -> int:
@@ -172,27 +176,6 @@ class Trace:
             message_id=self.schema.message_id,
             signals=tuple(self.signals[i]),
             label=int(self.labels[i]),
-        )
-
-    @classmethod
-    def from_records(
-        cls,
-        schema: MessageSchema,
-        records: list[TraceRecord],
-        scaling: ScalingParams | None = None,
-    ) -> "Trace":
-        for r in records:
-            if r.message_id != schema.message_id:
-                raise ValueError(
-                    f"record message_id {r.message_id:#x} does not match schema "
-                    f"{schema.message_id:#x}"
-                )
-        return cls(
-            schema=schema,
-            timestamps=np.array([r.timestamp for r in records], dtype=np.float64),
-            signals=np.array([r.signals for r in records], dtype=np.float64),
-            labels=np.array([r.label for r in records], dtype=np.int64),
-            scaling=scaling,
         )
 
     def replace_data(

@@ -37,6 +37,18 @@ def _config_doc():
     }
 
 
+def _with_nan_cell(src: Path, dst: Path, row: int = 40) -> Path:
+    """Copy a trace file with the first signal of one data row set to nan."""
+    lines = src.read_text().splitlines()
+    data = [i for i, ln in enumerate(lines)
+            if ln and not ln.startswith("#")][1:]
+    fields = lines[data[row]].split(",")
+    fields[3] = "nan"
+    lines[data[row]] = ",".join(fields)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     """Run the full documented pipeline once; tests inspect the artifacts."""
@@ -256,6 +268,26 @@ class TestExitCodes:
                    "--model", str(ws["model"]), "--detector", str(bad),
                    "--out", str(out)])
         assert rc == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_nan_cell_in_training_trace_is_validation(self, ws, tmp_path):
+        # a NaN signal would fit a NaN scaling range and train on zeros
+        bad = _with_nan_cell(ws["train"], tmp_path / "train_nan.csv")
+        model = tmp_path / "m.bin"
+        rc = main(["train", "--trace", str(bad), "--config", str(ws["cfg"]),
+                   "--model-out", str(model)])
+        assert rc == EXIT_VALIDATION
+        assert not model.exists()
+
+    def test_nan_cell_in_detect_trace_is_runtime(self, ws, tmp_path, capsys):
+        bad = _with_nan_cell(ws["attacked"], tmp_path / "attacked_nan.csv")
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        rc = main(["detect", "--trace", str(bad), "--model", str(ws["model"]),
+                   "--detector", str(ws["det_diff"]), "--out", str(out)])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("canids: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_unwritable_output_is_runtime(self, ws, tmp_path):

@@ -1,11 +1,15 @@
 """Online pipeline: rate checking, history buffer, per-frame dispositions."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from canids import controller
 from canids.controller import (
+    DISPOSITIONS,
     FrameDisposition,
     HistoryBuffer,
     OnlineConfig,
@@ -17,7 +21,7 @@ from canids.controller import (
 )
 from canids.detector import VARIANTS, OcsvmModel, StaticThreshold, fit_ocsvm
 from canids.pipeline import detect_with
-from canids.predictor import PredictorHyper, build_model
+from canids.predictor import PredictorHyper, build_model, predict_last_batch
 from canids.traces import MessageSchema, ScalingParams, Trace
 
 HYPER = PredictorHyper(subsequence_length=4, embed_dim=4, hidden_dim=4,
@@ -220,6 +224,90 @@ class TestRunOnline:
         with pytest.raises(ValueError, match="disposition"):
             FrameDisposition(index=0, timestamp=0.0, disposition="Quarantine",
                              score=None, rate_flag="ok", warmup=False)
+
+
+def _run_recording(stream, *args, **kwargs):
+    """run_online with every vector pushed into its history buffer
+    recorded; returns (dispositions, pushed vectors)."""
+    pushed: list[np.ndarray] = []
+
+    class RecordingBuffer(HistoryBuffer):
+        def push(self, vec: np.ndarray) -> None:
+            pushed.append(np.array(vec, dtype=np.float64))
+            super().push(vec)
+
+    with mock.patch.object(controller, "HistoryBuffer", RecordingBuffer):
+        out = run_online(stream, *args, **kwargs)
+    return out, pushed
+
+
+class TestNonFinitePayloads:
+    # k=2, L=4: NaN at frame 1 (warm-up) and at frame 6 (scored stream)
+    def _stream(self):
+        stream = list(_clean_stream(10))
+        stream[1] = (stream[1][0], np.array([np.nan, 0.5]))
+        stream[6] = (stream[6][0], np.array([0.5, np.nan]))
+        return stream
+
+    @pytest.mark.parametrize("substitution", ["prediction", "freeze"])
+    def test_nan_frames_are_dropped_and_never_buffered(self, substitution):
+        model = build_model(k=2, hyper=HYPER, seed=0)
+        det = StaticThreshold(threshold=100.0)  # flags no finite frame
+        stream = self._stream()
+        out, pushed = _run_recording(
+            stream, model, det, "ST", _unit_scaling(2), 15.0,
+            config=OnlineConfig(substitution=substitution))
+        kinds = [d.disposition for d in out]
+        assert kinds == ["Delivered", "DroppedAnomalous"] + ["Delivered"] * 4 \
+            + ["DroppedAnomalous"] + ["Delivered"] * 3
+        assert [d.warmup for d in out] == [True] * 5 + [False] * 5
+        assert out[1].score is None and out[6].score is None
+        assert all(d.score is not None and np.isfinite(d.score)
+                   for d in out[5:] if d.index != 6)
+        # warm-up skips frame 1 entirely; frame 6's slot holds the substitute
+        assert len(pushed) == 9
+        assert all(np.isfinite(v).all() for v in pushed)
+        window = np.stack([stream[i][1] for i in (2, 3, 4, 5)])
+        if substitution == "prediction":
+            expected = predict_last_batch(model, window[None])[0]
+        else:
+            expected = window[-1]
+        assert np.array_equal(pushed[5], expected)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(k=hs.integers(1, 3), L=hs.integers(1, 5),
+           frames=hs.lists(hs.tuples(
+               hs.sampled_from([0.001, 0.015, 0.015, 0.015, 0.04]),
+               hs.one_of(hs.none(), hs.sampled_from(
+                   [np.nan, np.inf, -np.inf]))), max_size=30),
+           bad_signal=hs.integers(0, 2),
+           threshold=hs.sampled_from([1e-9, 100.0]),
+           substitution=hs.sampled_from(["prediction", "freeze"]))
+    def test_streams_with_non_finite_payloads(self, k, L, frames, bad_signal,
+                                              threshold, substitution):
+        hyper = PredictorHyper(subsequence_length=L, embed_dim=4,
+                               hidden_dim=4, batch_size=8,
+                               learning_rate=1e-3, max_epochs=3, patience=2)
+        model = build_model(k=k, hyper=hyper, seed=L)
+        rng = np.random.default_rng(k * 100 + len(frames))
+        stream, t = [], 0.0
+        for gap, bad in frames:
+            t += gap
+            payload = rng.uniform(size=k)
+            if bad is not None:
+                payload[bad_signal % k] = bad
+            stream.append((t, payload))
+        out, pushed = _run_recording(
+            stream, model, StaticThreshold(threshold=threshold), "ST",
+            _unit_scaling(k), 15.0,
+            config=OnlineConfig(substitution=substitution))
+        assert [d.index for d in out] == list(range(len(stream)))
+        assert all(d.disposition in DISPOSITIONS for d in out)
+        assert all(np.isfinite(v).all() for v in pushed)
+        for d, (_, payload) in zip(out, stream):
+            if not np.isfinite(payload).all():
+                assert d.disposition != "Delivered"
+                assert d.score is None
 
 
 def _never_flags(variant: str, dim: int, rng) -> OcsvmModel | StaticThreshold:

@@ -10,6 +10,7 @@ import pytest
 from canids.nn import (
     AdamState,
     LstmCellParams,
+    _sigmoid,
     adam_step,
     grad_check,
     init_lstm_cell,
@@ -93,6 +94,55 @@ class TestLstmCell:
             h1, c1, _ = lstm_cell_forward(p, X[i], Hs[i], Cs[i])
             assert np.allclose(hb[i], h1, atol=1e-12)
             assert np.allclose(cb[i], c1, atol=1e-12)
+
+
+def _masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The reference logistic function: a boolean-mask split into the two
+    overflow-free forms."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestSigmoid:
+    def test_edge_values_bit_identical_to_reference(self):
+        mags = np.logspace(-3, np.log10(50.0), 401)
+        z = np.concatenate([[0.0, -0.0, 745.0, -745.0, 800.0, -800.0],
+                            mags, -mags])
+        assert np.array_equal(_bits(_sigmoid(z)), _bits(_masked_sigmoid(z)))
+
+    @pytest.mark.parametrize("shape", [(1, 64), (256, 256)])
+    def test_blocks_bit_identical_to_reference(self, shape):
+        z = np.random.default_rng(4).normal(scale=6.0, size=shape)
+        assert np.array_equal(_bits(_sigmoid(z)), _bits(_masked_sigmoid(z)))
+
+    def test_saturates_without_overflow(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = _sigmoid(np.array([-800.0, 800.0]))
+        assert out.tolist() == [0.0, 1.0]
+
+
+def test_cell_gates_bit_identical_to_per_gate_reference():
+    # the fused gate pass must reproduce separate sigmoid calls on the
+    # i, f and o slices exactly
+    rng = np.random.default_rng(6)
+    H = 5
+    p = init_lstm_cell(rng, H, 3)
+    x, h0, c0 = (rng.normal(scale=3.0, size=(7, d)) for d in (3, H, H))
+    h, c, _ = lstm_cell_forward(p, x, h0, c0)
+    z = x @ p.W_x.T + h0 @ p.W_h.T + p.b
+    i, f, o = (_masked_sigmoid(z[:, a * H: (a + 1) * H]) for a in (0, 1, 3))
+    c_ref = f * c0 + i * np.tanh(z[:, 2 * H: 3 * H])
+    h_ref = o * np.tanh(c_ref)
+    assert np.array_equal(_bits(c), _bits(c_ref))
+    assert np.array_equal(_bits(h), _bits(h_ref))
 
 
 class TestSoftmax:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from canids import model_io
 from canids.nn import grad_check, mse_loss
 from canids.predictor import (
     PredictorHyper,
@@ -78,6 +79,14 @@ class TestArchitecture:
         bad["out.W"] = np.zeros((3, 4))
         with pytest.raises(ValueError, match="out.W"):
             PredictorModel(k=2, hyper=TINY, params=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_rejected(self, bad):
+        m = build_model(k=2, hyper=TINY, seed=0)
+        params = {name: p.copy() for name, p in m.params.items()}
+        params["dec1.W_h"][1, 2] = bad
+        with pytest.raises(ValueError, match="dec1.W_h.*non-finite"):
+            PredictorModel(k=2, hyper=TINY, params=params)
 
     def test_missing_block_rejected(self):
         m = build_model(k=2, hyper=TINY, seed=0)
@@ -163,6 +172,14 @@ class TestForward:
         m = build_model(k=2, hyper=TINY, seed=0)
         with pytest.raises(ValueError):
             predict_last_batch(m, np.zeros((1, 4, 3)))
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_non_finite_window_raises(self, row):
+        m = build_model(k=2, hyper=TINY, seed=0)
+        windows = np.zeros((3, 4, 2))
+        windows[1, row, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            predict_last_batch(m, windows)
 
 
 def _sine_traces():
@@ -254,3 +271,12 @@ class TestSerialization:
         save_model(m, path)
         with pytest.raises(ValueError, match="k=2"):
             load_model_file(path, expected_k=4)
+
+    def test_file_holding_non_finite_weights_rejected(self, tmp_path):
+        path = tmp_path / "m.canids"
+        save_model(build_model(k=2, hyper=TINY, seed=0), path)
+        meta, blocks = model_io.load_arrays(path, expected_type="predictor")
+        blocks["out.b"] = np.array([0.0, np.nan])
+        model_io.save_arrays(path, "predictor", meta, blocks)
+        with pytest.raises(ValueError, match="out.b"):
+            load_model_file(path)

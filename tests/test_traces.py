@@ -200,6 +200,27 @@ class TestScaling:
         assert np.array_equal(back.maxs, params.maxs)
 
 
+    def test_non_finite_bounds_rejected(self):
+        for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0),
+                       (0.0, np.inf)):
+            with pytest.raises(ValueError, match="non-finite.*b"):
+                ScalingParams(signal_names=("a", "b"), mins=(0.0, lo),
+                              maxs=(1.0, hi))
+
+    def test_fit_on_non_finite_signal_rejected(self):
+        t = make_trace(n=10, k=2)
+        signals = t.signals.copy()
+        signals[4, 1] = np.nan
+        with pytest.raises(ValueError, match="sig_2"):
+            fit_and_scale(t.replace_data(signals=signals))
+
+    def test_nan_sidecar_rejected(self, tmp_path):
+        p = tmp_path / "scaling.csv"
+        p.write_text("sig_1,0.0,1.0\nsig_2,nan,nan\n")
+        with pytest.raises(ValueError, match="sig_2"):
+            load_scaling(p)
+
+
 class TestSplit:
     def test_80_20(self):
         t = make_trace(n=10)
