@@ -13,7 +13,6 @@ from .traces import (
     MessageSchema,
     ScalingParams,
     Trace,
-    TraceRecord,
     apply_scaling,
     fit_and_scale,
     invert_scaling,
@@ -31,7 +30,6 @@ __all__ = [
     "MessageSchema",
     "ScalingParams",
     "Trace",
-    "TraceRecord",
     "apply_scaling",
     "fit_and_scale",
     "invert_scaling",

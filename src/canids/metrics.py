@@ -116,19 +116,13 @@ def roc_auc(labels, scores) -> tuple[list[tuple[float, float]], float]:
     order = np.argsort(scores, kind="stable")
     s = scores[order]
     lab = labels[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and s[j] == s[i]:
-            j += 1
-        tp += int(np.sum(lab[i:j] == 1))
-        fp += int(np.sum(lab[i:j] == 0))
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
+    # one ROC point after the last record of each group of tied scores
+    group_ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    tp = np.cumsum(lab == 1)[group_ends]
+    fp = np.cumsum(lab == 0)[group_ends]
+    xs = np.concatenate([[0.0], fp / n_neg])
+    ys = np.concatenate([[0.0], tp / n_pos])
+    points = list(zip(xs.tolist(), ys.tolist()))
     auc = float(np.sum(np.diff(xs) * (ys[:-1] + ys[1:]) * 0.5))
     return points, auc
 

@@ -12,7 +12,9 @@ step also takes a single vector (d,).
 Finiteness is checked at the boundaries, not per step: the predictor
 rejects non-finite weights once, when a model is built, trained or loaded,
 and checks its predictions once per forward pass. The LSTM cell itself
-checks only shapes. `softmax` and `adam_step` check their own inputs.
+checks only shapes. `softmax` checks its row maxima, which it computes
+anyway, and the predictor calls it once per forward pass over every
+step's scores; `adam_step` checks each gradient.
 """
 
 from __future__ import annotations
@@ -147,14 +149,24 @@ def lstm_cell_backward(p: LstmCellParams, cache: tuple, g_h: np.ndarray,
 # softmax / loss
 
 def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax along axis (max subtraction)."""
+    """Stable softmax along axis (max subtraction).
+
+    -inf entries mask their position: they get weight exactly 0. NaN,
+    +inf and a row with no finite entry raise FloatingPointError. All
+    three show in the row maxima (max propagates NaN), so those are the
+    only values scanned.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[axis] == 0:
         raise ValueError("softmax of empty input")
-    _check_finite("softmax input", v)
-    shifted = v - v.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    top = v.max(axis=axis, keepdims=True)
+    if not np.isfinite(top).all():
+        raise FloatingPointError(
+            "softmax input holds NaN or +inf, or a row with no finite entry")
+    e = v - top
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,12 +1,21 @@
 """Next-message predictor: stacked LSTM encoder, causal self-attention,
 stacked LSTM decoder.
 
-Per window step s the input row is embedded, run through two stacked LSTM
-encoder layers, and the second layer's state h2_s attends over h2_1..h2_s
-(never later steps, so predictions are causal). The attention-applied
-vector and h2_s are concatenated and projected (tanh) into the context
-phi_s, which drives a two-layer LSTM decoder whose state carries across
-steps within a window and resets between windows. A final linear layer
+A window of L rows runs through the model in three stages, in the order
+its data flows:
+
+1. Encoder. Each row is embedded and run through two stacked LSTM layers;
+   the second layer's states h2_1..h2_L are collected.
+2. Attention, one pass for all steps. Step s attends over h2_1..h2_s
+   (never later steps, so predictions are causal): the scores of later
+   steps are masked to -inf before one softmax over the (L, L) score
+   matrix. The attention-applied vector and h2_s are concatenated and
+   projected (tanh) into the context phi_s.
+3. Decoder. A two-layer LSTM runs over phi_1..phi_L, its state carried
+   across steps within a window and reset between windows.
+
+Only the LSTM layers are recurrent, and attention reads nothing from the
+decoder, so the stages can run one after the other. A final linear layer
 emits the predicted next signal vector at every step; training compares
 only the last step against the window's target row.
 
@@ -16,7 +25,8 @@ gradient checker in `nn` is the authority on its correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,13 +110,16 @@ class PredictorModel:
 
     Construction checks every parameter block's shape and rejects
     non-finite weights, so built, trained and loaded models are all
-    checked once here and the forward pass does not re-scan them.
+    checked once here and the forward pass does not re-scan them. It also
+    builds the four LSTM layers' cell parameters once, as `cells`.
     """
 
     k: int
     hyper: PredictorHyper
     params: dict[str, np.ndarray]
     version: str = MODEL_VERSION
+    cells: dict[str, LstmCellParams] = field(init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self) -> None:
         expected = param_shapes(self.k, self.hyper.embed_dim,
@@ -120,6 +133,7 @@ class PredictorModel:
                     f"expected {shape}")
             if not np.isfinite(self.params[name]).all():
                 raise ValueError(f"block {name!r} holds non-finite values")
+        object.__setattr__(self, "cells", _lstm_cells(self.params))
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -166,124 +180,166 @@ def build_model(k: int, hyper: PredictorHyper | None = None,
 # forward / backward
 
 
-def _forward_batch(params: dict[str, np.ndarray], windows: np.ndarray,
+_LSTM_LAYERS = ("enc1", "enc2", "dec1", "dec2")
+
+
+def _lstm_cells(params: dict[str, np.ndarray]) -> dict[str, LstmCellParams]:
+    """The four LSTM layers as cell parameters. The cells share the arrays
+    in `params`, so in-place updates (Adam, the gradient checker) reach
+    them; build them once per model or training run, not per forward."""
+    return {
+        name: LstmCellParams(W_x=params[f"{name}.W_x"],
+                             W_h=params[f"{name}.W_h"], b=params[f"{name}.b"])
+        for name in _LSTM_LAYERS
+    }
+
+
+@functools.lru_cache(maxsize=16)
+def _causal_mask(L: int) -> np.ndarray:
+    """(L, L) additive score mask: 0 where step s may attend to step j
+    (j <= s), -inf above the diagonal."""
+    mask = np.triu(np.full((L, L), -np.inf), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ W.T + b over the last axis of a (B, L, d) stack, as one (B*L, d)
+    matrix product: numpy would run one small product per window."""
+    B, L, d = x.shape
+    y = x.reshape(B * L, d) @ W.T
+    y += b
+    return y.reshape(B, L, W.shape[0])
+
+
+def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum over windows and steps of the outer products g x^T, for
+    (B, L, out) and (B, L, in) stacks, as one matrix product."""
+    return g.reshape(-1, g.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+
+
+def _forward_batch(params: dict[str, np.ndarray],
+                   cells: dict[str, LstmCellParams], windows: np.ndarray,
                    want_cache: bool) -> tuple[np.ndarray, dict | None]:
     """Run B windows of shape (B, L, k); returns predictions (B, L, k).
 
-    Attention at step s: score_j = <attn(h2_s), h2_j> for j <= s,
-    alpha = softmax(scores), a = sum_j alpha_j h2_j and
-    phi_s = tanh(combine([a ; h2_s])).
+    Follows the model's dataflow in three stages:
+    1. the encoder (enc1, enc2) runs over all L steps, giving H2 (B, L, H);
+    2. one causal attention pass covers every step at once:
+       scores[s, j] = <attn(h2_s), h2_j>, set to -inf for j > s,
+       alpha = softmax(scores) (zero above the diagonal), a_s = sum_j
+       alpha[s, j] h2_j and phi_s = tanh(combine([a_s ; h2_s]));
+    3. the decoder (dec1, dec2) runs over phi.
+
+    The cache holds the attention tensors stacked over steps (q, alpha,
+    concat, phi) and each LSTM layer's per-step cell caches.
     """
     B, L, k = windows.shape
     H = params["attn.W"].shape[0]
-    cell = {
-        name: LstmCellParams(W_x=params[f"{name}.W_x"],
-                             W_h=params[f"{name}.W_h"], b=params[f"{name}.b"])
-        for name in ("enc1", "enc2", "dec1", "dec2")
-    }
-    e_all = windows @ params["embed.W"].T + params["embed.b"]
-    H2 = np.zeros((B, L, H))
-    D2 = np.zeros((B, L, H))
+    e_all = _affine(windows, params["embed.W"], params["embed.b"])
     zeros = np.zeros((B, H))
-    h1 = c1 = h2 = c2 = d1 = dc1 = d2 = dc2 = zeros
     enc1_c, enc2_c, dec1_c, dec2_c = [], [], [], []
-    alphas, qs, phis, concats = [], [], [], []
+
+    H2 = np.empty((B, L, H))
+    h1 = c1 = h2 = c2 = zeros
     for s in range(L):
-        h1, c1, cch = lstm_cell_forward(cell["enc1"], e_all[:, s], h1, c1)
-        if want_cache:
-            enc1_c.append(cch)
-        h2, c2, cch = lstm_cell_forward(cell["enc2"], h1, h2, c2)
-        if want_cache:
-            enc2_c.append(cch)
+        h1, c1, cch1 = lstm_cell_forward(cells["enc1"], e_all[:, s], h1, c1)
+        h2, c2, cch2 = lstm_cell_forward(cells["enc2"], h1, h2, c2)
         H2[:, s] = h2
-        q = h2 @ params["attn.W"].T + params["attn.b"]
-        keys = H2[:, : s + 1]
-        scores = np.einsum("bh,bjh->bj", q, keys)
-        alpha = softmax(scores, axis=-1)
-        a = np.einsum("bj,bjh->bh", alpha, keys)
-        concat = np.concatenate([a, h2], axis=-1)
-        phi = np.tanh(concat @ params["combine.W"].T + params["combine.b"])
         if want_cache:
-            alphas.append(alpha)
-            qs.append(q)
-            phis.append(phi)
-            concats.append(concat)
-        d1, dc1, cch = lstm_cell_forward(cell["dec1"], phi, d1, dc1)
-        if want_cache:
-            dec1_c.append(cch)
-        d2, dc2, cch = lstm_cell_forward(cell["dec2"], d1, d2, dc2)
-        if want_cache:
-            dec2_c.append(cch)
+            enc1_c.append(cch1)
+            enc2_c.append(cch2)
+
+    q = _affine(H2, params["attn.W"], params["attn.b"])
+    scores = q @ H2.transpose(0, 2, 1)
+    scores += _causal_mask(L)
+    alpha = softmax(scores, axis=-1)
+    # filled and activated in place: at batch 1024 these stacks are
+    # megabytes, and each extra temporary costs more than the arithmetic
+    concat = np.empty((B, L, 2 * H))
+    np.matmul(alpha, H2, out=concat[..., :H])
+    concat[..., H:] = H2
+    phi = _affine(concat, params["combine.W"], params["combine.b"])
+    np.tanh(phi, out=phi)
+
+    D2 = np.empty((B, L, H))
+    d1 = dc1 = d2 = dc2 = zeros
+    for s in range(L):
+        d1, dc1, cch1 = lstm_cell_forward(cells["dec1"], phi[:, s], d1, dc1)
+        d2, dc2, cch2 = lstm_cell_forward(cells["dec2"], d1, d2, dc2)
         D2[:, s] = d2
-    preds = D2 @ params["out.W"].T + params["out.b"]
+        if want_cache:
+            dec1_c.append(cch1)
+            dec2_c.append(cch2)
+    preds = _affine(D2, params["out.W"], params["out.b"])
     if not want_cache:
         return preds, None
     cache = {
         "windows": windows, "e_all": e_all, "H2": H2, "D2": D2,
         "enc1": enc1_c, "enc2": enc2_c, "dec1": dec1_c, "dec2": dec2_c,
-        "alpha": alphas, "q": qs, "phi": phis, "concat": concats,
-        "cell": cell,
+        "q": q, "alpha": alpha, "concat": concat, "phi": phi,
     }
     return preds, cache
 
 
-def _backward_batch(params: dict[str, np.ndarray], cache: dict,
+def _backward_batch(params: dict[str, np.ndarray],
+                    cells: dict[str, LstmCellParams], cache: dict,
                     g_preds: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss with upstream g_preds on the (B, L, k)
-    prediction tensor. Attention makes h2_j live in every later step, so
-    its gradient buffer is filled by steps >= j before enc2 consumes it."""
+    prediction tensor, in the reverse of the forward's three stages:
+    1. the decoder backward loop collects g_phi (B, L, H);
+    2. one attention backward pass gives g_H2 for every step, each h2_j
+       receiving from every step s >= j that attends to it;
+    3. the encoder backward loop consumes g_H2.
+    """
     windows, H2, D2 = cache["windows"], cache["H2"], cache["D2"]
-    cell = cache["cell"]
+    q, alpha, concat, phi = (cache[n] for n in ("q", "alpha", "concat", "phi"))
     B, L, k = g_preds.shape
     H = H2.shape[2]
     grads = {name: np.zeros_like(p) for name, p in params.items()}
-    grads["out.W"] = np.einsum("blk,blh->kh", g_preds, D2)
+    grads["out.W"] = _weight_grad(g_preds, D2)
     grads["out.b"] = g_preds.sum(axis=(0, 1))
     gD2 = g_preds @ params["out.W"]
-    g_h2_buf = np.zeros((B, L, H))
+
+    def cell_backward(name, step_cache, g_h, g_c):
+        g_x, g_h_prev, g_c_prev, gWx, gWh, gb = lstm_cell_backward(
+            cells[name], step_cache, g_h, g_c)
+        grads[f"{name}.W_x"] += gWx
+        grads[f"{name}.W_h"] += gWh
+        grads[f"{name}.b"] += gb
+        return g_x, g_h_prev, g_c_prev
+
     zero = np.zeros((B, H))
-    gd2h = gd2c = gd1h = gd1c = gh2 = gc2 = gh1 = gc1 = zero
-    g_e_all = np.empty((B, L, cache["e_all"].shape[2]))
+    g_phi = np.empty((B, L, H))
+    gd2h = gd2c = gd1h = gd1c = zero
     for s in reversed(range(L)):
-        gx, gd2h, gd2c, gWx, gWh, gb = lstm_cell_backward(
-            cell["dec2"], cache["dec2"][s], gD2[:, s] + gd2h, gd2c)
-        grads["dec2.W_x"] += gWx
-        grads["dec2.W_h"] += gWh
-        grads["dec2.b"] += gb
-        g_phi, gd1h, gd1c, gWx, gWh, gb = lstm_cell_backward(
-            cell["dec1"], cache["dec1"][s], gx + gd1h, gd1c)
-        grads["dec1.W_x"] += gWx
-        grads["dec1.W_h"] += gWh
-        grads["dec1.b"] += gb
-        phi = cache["phi"][s]
-        g_pre = g_phi * (1.0 - phi * phi)
-        grads["combine.W"] += g_pre.T @ cache["concat"][s]
-        grads["combine.b"] += g_pre.sum(axis=0)
-        g_concat = g_pre @ params["combine.W"]
-        g_a, g_h2_direct = g_concat[:, :H], g_concat[:, H:]
-        alpha = cache["alpha"][s]
-        q = cache["q"][s]
-        keys = H2[:, : s + 1]
-        g_alpha = np.einsum("bh,bjh->bj", g_a, keys)
-        g_h2_buf[:, : s + 1] += alpha[..., None] * g_a[:, None, :]
-        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(-1, keepdims=True))
-        g_q = np.einsum("bj,bjh->bh", g_scores, keys)
-        g_h2_buf[:, : s + 1] += g_scores[..., None] * q[:, None, :]
-        grads["attn.W"] += g_q.T @ H2[:, s]
-        grads["attn.b"] += g_q.sum(axis=0)
-        g_h2_buf[:, s] += g_q @ params["attn.W"] + g_h2_direct
-        gx, gh2, gc2, gWx, gWh, gb = lstm_cell_backward(
-            cell["enc2"], cache["enc2"][s], g_h2_buf[:, s] + gh2, gc2)
-        grads["enc2.W_x"] += gWx
-        grads["enc2.W_h"] += gWh
-        grads["enc2.b"] += gb
-        g_e, gh1, gc1, gWx, gWh, gb = lstm_cell_backward(
-            cell["enc1"], cache["enc1"][s], gx + gh1, gc1)
-        grads["enc1.W_x"] += gWx
-        grads["enc1.W_h"] += gWh
-        grads["enc1.b"] += gb
-        g_e_all[:, s] = g_e
-    grads["embed.W"] = np.einsum("ble,blk->ek", g_e_all, windows)
+        gx, gd2h, gd2c = cell_backward("dec2", cache["dec2"][s],
+                                       gD2[:, s] + gd2h, gd2c)
+        g_phi[:, s], gd1h, gd1c = cell_backward("dec1", cache["dec1"][s],
+                                                gx + gd1h, gd1c)
+
+    g_pre = g_phi * (1.0 - phi * phi)
+    grads["combine.W"] = _weight_grad(g_pre, concat)
+    grads["combine.b"] = g_pre.sum(axis=(0, 1))
+    g_concat = g_pre @ params["combine.W"]
+    g_a = g_concat[..., :H]
+    g_alpha = g_a @ H2.transpose(0, 2, 1)
+    # alpha is 0 above the diagonal, so g_scores is too
+    g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(-1, keepdims=True))
+    g_q = g_scores @ H2
+    grads["attn.W"] = _weight_grad(g_q, H2)
+    grads["attn.b"] = g_q.sum(axis=(0, 1))
+    g_H2 = (g_concat[..., H:] + alpha.transpose(0, 2, 1) @ g_a
+            + g_scores.transpose(0, 2, 1) @ q + g_q @ params["attn.W"])
+
+    g_e_all = np.empty((B, L, cache["e_all"].shape[2]))
+    gh2 = gc2 = gh1 = gc1 = zero
+    for s in reversed(range(L)):
+        gx, gh2, gc2 = cell_backward("enc2", cache["enc2"][s],
+                                     g_H2[:, s] + gh2, gc2)
+        g_e_all[:, s], gh1, gc1 = cell_backward("enc1", cache["enc1"][s],
+                                                gx + gh1, gc1)
+    grads["embed.W"] = _weight_grad(g_e_all, windows)
     grads["embed.b"] = g_e_all.sum(axis=(0, 1))
     return grads
 
@@ -298,7 +354,8 @@ def predict_last_batch(model: PredictorModel, windows: np.ndarray,
     windows = np.asarray(windows, dtype=np.float64)
     out = np.empty((len(windows), model.k))
     for lo in range(0, len(windows), batch_size):
-        preds, _ = _forward_batch(model.params, windows[lo: lo + batch_size],
+        preds, _ = _forward_batch(model.params, model.cells,
+                                  windows[lo: lo + batch_size],
                                   want_cache=False)
         out[lo: lo + len(preds)] = preds[:, -1]
     _check_finite("predictions", out)
@@ -306,15 +363,21 @@ def predict_last_batch(model: PredictorModel, windows: np.ndarray,
 
 
 def loss_and_grads(params: dict[str, np.ndarray], windows: np.ndarray,
-                   targets: np.ndarray, loss_mode: str = "last"
+                   targets: np.ndarray, loss_mode: str = "last",
+                   cells: dict[str, LstmCellParams] | None = None
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """Batch loss and parameter gradients.
 
     "last": MSE between each window's final prediction and its target.
     "all": every step s additionally predicts input row s+1; the final
     step still predicts the target.
+
+    `cells` are the LSTM cell parameters over `params` (see `train`);
+    they are built from `params` when not given.
     """
-    preds, cache = _forward_batch(params, windows, want_cache=True)
+    if cells is None:
+        cells = _lstm_cells(params)
+    preds, cache = _forward_batch(params, cells, windows, want_cache=True)
     B, L, k = preds.shape
     if loss_mode == "last":
         loss, g_last = mse_loss(preds[:, -1], targets)
@@ -323,7 +386,7 @@ def loss_and_grads(params: dict[str, np.ndarray], windows: np.ndarray,
     else:
         full_targets = np.concatenate([windows[:, 1:], targets[:, None]], axis=1)
         loss, g_preds = mse_loss(preds, full_targets)
-    return loss, _backward_batch(params, cache, g_preds)
+    return loss, _backward_batch(params, cells, cache, g_preds)
 
 
 # --------------------------------------------------------------------------
@@ -342,12 +405,12 @@ class TrainHistory:
             raise ValueError("best_epoch must hold the minimum val loss")
 
 
-def _epoch_loss(params: dict, X: np.ndarray, Y: np.ndarray,
+def _epoch_loss(params: dict, cells: dict, X: np.ndarray, Y: np.ndarray,
                 batch_size: int) -> float:
     """Mean squared last-step error over a whole window set."""
     total = 0.0
     for lo in range(0, len(X), batch_size):
-        preds, _ = _forward_batch(params, X[lo: lo + batch_size],
+        preds, _ = _forward_batch(params, cells, X[lo: lo + batch_size],
                                   want_cache=False)
         d = preds[:, -1] - Y[lo: lo + batch_size]
         total += float(np.sum(d * d))
@@ -371,6 +434,8 @@ def train(model: PredictorModel, train_trace: Trace, val_trace: Trace,
     X_tr, Y_tr = window_arrays(train_trace, L)
     X_va, Y_va = window_arrays(val_trace, L)
     params = {name: p.copy() for name, p in model.params.items()}
+    # Adam updates params in place, so cells built once stay current
+    cells = _lstm_cells(params)
     opt = AdamState(lr=hyper.learning_rate)
     best_val = np.inf
     best_epoch = -1
@@ -384,13 +449,14 @@ def train(model: PredictorModel, train_trace: Trace, val_trace: Trace,
         for bi, lo in enumerate(range(0, len(X_tr), hyper.batch_size)):
             xb = X_tr[lo: lo + hyper.batch_size]
             yb = Y_tr[lo: lo + hyper.batch_size]
-            loss, grads = loss_and_grads(params, xb, yb, hyper.loss_mode)
+            loss, grads = loss_and_grads(params, xb, yb, hyper.loss_mode,
+                                         cells)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, bi)
             se_sum += loss * yb.size
             adam_step(opt, params, grads)
         train_hist.append(se_sum / Y_tr.size)
-        val = _epoch_loss(params, X_va, Y_va, hyper.batch_size)
+        val = _epoch_loss(params, cells, X_va, Y_va, hyper.batch_size)
         if not np.isfinite(val):
             raise TrainingDiverged(epoch, -1)
         val_hist.append(val)

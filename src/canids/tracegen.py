@@ -27,8 +27,19 @@ SIGNAL_KINDS = ("sine", "ramp-reset", "random-walk", "step-hold")
 ATTACK_KINDS = ("Constant", "Continuous", "Replay", "Dropping", "DDoS")
 PAYLOAD_MODES = ("repeat-last", "random")
 
-# timestamps closer than this are the same bus slot
+# timestamps closer than this are the same bus slot, unless float64
+# spacing at their magnitude is coarser (see `_ts_tol`)
 _TS_EPS = 1e-9
+
+
+def _ts_tol(*times: float) -> float:
+    """Slot tolerance for comparing timestamps near `times`: `_TS_EPS`, or
+    64 units in the last place of the largest of them where that is wider.
+    At Unix-epoch times (about 1.7e9 s) one unit is 2.4e-7 s, so an
+    absolute 1e-9 would call two roundings of the same slot different; 64
+    units there is 1.5e-5 s, far below any bus period. Below 2**17 s
+    (about 36 hours) the tolerance is `_TS_EPS` itself."""
+    return max(_TS_EPS, 64 * math.ulp(max(abs(t) for t in times)))
 
 
 @dataclass(frozen=True)
@@ -209,7 +220,7 @@ class AttackSpec:
             if self.source_start is None:
                 raise ValueError("Replay requires source_start")
             src_end = self.source_start + (self.t_end - self.t_start)
-            if src_end > self.t_start + _TS_EPS:
+            if src_end > self.t_start + _ts_tol(src_end, self.t_start):
                 raise ValueError(
                     "Replay source interval must end at or before t_start")
         if self.kind == "DDoS":
@@ -248,7 +259,8 @@ class AttackSpec:
 
 
 def _interval_mask(ts: np.ndarray, t_start: float, t_end: float) -> np.ndarray:
-    return (ts >= t_start - _TS_EPS) & (ts < t_end - _TS_EPS)
+    tol = _ts_tol(t_start, t_end)
+    return (ts >= t_start - tol) & (ts < t_end - tol)
 
 
 def _check_interval(trace: Trace, spec: AttackSpec) -> None:
@@ -256,7 +268,8 @@ def _check_interval(trace: Trace, spec: AttackSpec) -> None:
     horizon = float(trace.timestamps[-1]) + trace.schema.nominal_period_s
     lo = min(spec.t_start,
              spec.source_start if spec.kind == "Replay" else spec.t_start)
-    if lo < t0 - _TS_EPS or spec.t_end > horizon + _TS_EPS:
+    tol = _ts_tol(t0, horizon)
+    if lo < t0 - tol or spec.t_end > horizon + tol:
         raise ValueError(
             f"attack interval [{spec.t_start}, {spec.t_end}) outside trace "
             f"span [{t0}, {horizon})")
@@ -328,14 +341,16 @@ def inject_attack(trace: Trace, spec: AttackSpec, seed: int = 0) -> Trace:
     period = trace.schema.nominal_period_s
     step = period / spec.multiplier
     anchor = float(ts[idx[0]]) if len(idx) else spec.t_start
-    n_slots = int(math.floor((spec.t_end - anchor) / step + _TS_EPS))
+    tol = _ts_tol(anchor, spec.t_end)
+    # one slot past the last whole step; the filter below decides the end
+    n_slots = int(math.floor((spec.t_end - anchor) / step)) + 1
     slots = anchor + step * np.arange(n_slots)
-    slots = slots[slots < spec.t_end - _TS_EPS]
+    slots = slots[slots < spec.t_end - tol]
     near = np.searchsorted(ts, slots)
     collides = np.zeros(len(slots), dtype=bool)
     for side in (near - 1, near):
         ok = (side >= 0) & (side < len(ts))
-        collides[ok] |= np.abs(ts[side[ok]] - slots[ok]) < _TS_EPS
+        collides[ok] |= np.abs(ts[side[ok]] - slots[ok]) < tol
     flood_ts = slots[~collides]
     if len(flood_ts) == 0:
         return trace

@@ -62,21 +62,6 @@ class MessageSchema:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """One logged CAN message sample."""
-
-    timestamp: float
-    message_id: int
-    signals: tuple[float, ...]
-    label: int
-
-    def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-        object.__setattr__(self, "signals", tuple(float(s) for s in self.signals))
-
-
-@dataclass(frozen=True)
 class ScalingParams:
     """Per-signal (min, max) pairs for 0-1 scaling; every bound is finite."""
 
@@ -169,14 +154,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def record(self, i: int) -> TraceRecord:
-        return TraceRecord(
-            timestamp=float(self.timestamps[i]),
-            message_id=self.schema.message_id,
-            signals=tuple(self.signals[i]),
-            label=int(self.labels[i]),
-        )
 
     def replace_data(
         self,

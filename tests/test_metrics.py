@@ -72,6 +72,33 @@ class TestScalarMetrics:
             metrics(ConfusionCounts())
 
 
+def _roc_auc_loop(labels, scores):
+    """The ROC sweep as a Python loop over tie groups: the reference that
+    the vectorized `roc_auc` must reproduce exactly."""
+    labels = np.asarray(labels, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    lab = labels[order]
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < len(s):
+        j = i
+        while j < len(s) and s[j] == s[i]:
+            j += 1
+        tp += int(np.sum(lab[i:j] == 1))
+        fp += int(np.sum(lab[i:j] == 0))
+        points.append((fp / n_neg, tp / n_pos))
+        i = j
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    auc = float(np.sum(np.diff(xs) * (ys[:-1] + ys[1:]) * 0.5))
+    return points, auc
+
+
 class TestRocAuc:
     def test_perfect_separation(self):
         # anomalies (label 1) hold the lowest scores
@@ -112,6 +139,21 @@ class TestRocAuc:
         scores = np.round(rng.normal(size=n), 1)
         _, auc = roc_auc(labels, scores)
         assert auc == pytest.approx(pairwise_auc(labels, scores), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_points_and_auc_equal_the_group_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (0, 1)
+        # few distinct values, so most scores sit in large tie groups;
+        # -0.0 and 0.0 compare equal and must form one group
+        scores = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=n)
+        points, auc = roc_auc(labels, scores)
+        ref_points, ref_auc = _roc_auc_loop(labels, scores)
+        assert points == ref_points
+        assert auc == ref_auc
+        assert all(type(x) is float and type(y) is float for x, y in points)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(99)

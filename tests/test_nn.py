@@ -169,6 +169,26 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax(np.array([]))
 
+    def test_minus_inf_entries_get_weight_exactly_zero(self):
+        v = np.array([[0.3, -np.inf, 1.1, -np.inf],
+                      [2.0, 0.5, -np.inf, -np.inf]])
+        out = softmax(v, axis=-1)
+        assert (out[np.isneginf(v)] == 0.0).all()
+        assert np.allclose(out[0, [0, 2]], softmax(v[0, [0, 2]]),
+                           rtol=0, atol=1e-15)
+        assert np.allclose(out[1, :2], softmax(v[1, :2]), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_plus_inf_raises(self, bad):
+        v = np.array([[0.0, 1.0, -np.inf], [0.5, bad, 0.0]])
+        with pytest.raises(FloatingPointError):
+            softmax(v, axis=-1)
+
+    def test_row_without_a_finite_entry_raises(self):
+        v = np.array([[0.0, -np.inf], [-np.inf, -np.inf]])
+        with pytest.raises(FloatingPointError, match="no finite entry"):
+            softmax(v, axis=-1)
+
 
 class TestMseLoss:
     def test_zero_at_identity(self):

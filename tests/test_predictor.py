@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from canids import model_io
-from canids.nn import grad_check, mse_loss
+from canids.nn import grad_check, mse_loss, softmax
 from canids.predictor import (
     PredictorHyper,
     PredictorModel,
@@ -104,31 +104,56 @@ class TestCausality:
         w1 = rng.normal(size=(6, 2))
         w2 = w1.copy()
         w2[3:] += rng.normal(size=(3, 2))  # only rows 3.. differ
-        preds, _ = _forward_batch(m.params, np.stack([w1, w2]),
+        preds, _ = _forward_batch(m.params, m.cells, np.stack([w1, w2]),
                                   want_cache=False)
         p1, p2 = preds
         assert np.array_equal(p1[:3], p2[:3])
         assert not np.allclose(p1[3:], p2[3:])
 
+    @staticmethod
+    def _cache(seed, B=3, L=5, k=2):
+        m = build_model(k=k, hyper=PredictorHyper(
+            subsequence_length=L, embed_dim=4, hidden_dim=4), seed=seed)
+        windows = np.random.default_rng(seed).normal(size=(B, L, k))
+        _, cache = _forward_batch(m.params, m.cells, windows, want_cache=True)
+        return cache
+
     def test_attention_weights_are_a_distribution(self):
-        m = build_model(k=2, hyper=PredictorHyper(
-            subsequence_length=5, embed_dim=4, hidden_dim=4), seed=1)
-        windows = np.random.default_rng(1).normal(size=(3, 5, 2))
-        _, cache = _forward_batch(m.params, windows, want_cache=True)
+        cache = self._cache(seed=1)
         for s in (1, 3, 5):
-            alpha = cache["alpha"][s - 1]
+            alpha = cache["alpha"][:, s - 1, :s]
             assert alpha.shape == (3, s)
             assert (alpha >= 0).all()
             assert np.allclose(alpha.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-            phi = cache["phi"][s - 1]
+            phi = cache["phi"][:, s - 1]
             assert phi.shape == (3, 4)
             assert (np.abs(phi) <= 1.0).all()  # tanh output
 
     def test_first_step_attends_only_to_itself(self):
-        m = build_model(k=2, hyper=TINY, seed=2)
-        windows = np.random.default_rng(2).normal(size=(3, 4, 2))
-        _, cache = _forward_batch(m.params, windows, want_cache=True)
-        assert np.array_equal(cache["alpha"][0], np.ones((3, 1)))
+        cache = self._cache(seed=2, L=4)
+        assert np.array_equal(cache["alpha"][:, 0],
+                              np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)))
+
+    def test_alpha_is_stacked_and_zero_above_the_diagonal(self):
+        cache = self._cache(seed=3, B=2, L=6)
+        alpha = cache["alpha"]
+        assert alpha.shape == (2, 6, 6)
+        upper = np.triu(np.ones((6, 6), dtype=bool), k=1)
+        assert (alpha[:, upper] == 0.0).all()
+        assert (alpha[:, ~upper] > 0.0).all()
+
+    def test_each_row_is_the_softmax_of_its_prefix_scores(self):
+        cache = self._cache(seed=4, B=3, L=7)
+        q, H2, alpha = cache["q"], cache["H2"], cache["alpha"]
+        for s in range(7):
+            scores = np.einsum("bh,bjh->bj", q[:, s], H2[:, : s + 1])
+            assert np.allclose(alpha[:, s, : s + 1], softmax(scores, axis=-1),
+                               rtol=0, atol=1e-15)
+
+    def test_phi_is_a_tanh_output(self):
+        cache = self._cache(seed=5, B=4, L=6)
+        assert cache["phi"].shape == (4, 6, 4)
+        assert (np.abs(cache["phi"]) <= 1.0).all()
 
 
 class TestGradients:

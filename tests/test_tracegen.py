@@ -276,6 +276,38 @@ class TestComposition:
         assert np.array_equal(a.timestamps, b.timestamps)
 
 
+class TestEpochTimeBase:
+    """A capture logged at Unix-epoch time must be attacked exactly like
+    the same capture starting at 0: float64 spacing near 1.7e9 s is about
+    2.4e-7 s, so slot comparisons there need a tolerance that scales."""
+
+    T0 = 1.7e9
+
+    def _suite(self, t0):
+        return [
+            AttackSpec(kind="Constant", t_start=t0 + 0.3, t_end=t0 + 0.6,
+                       target_signal=0, value=1.5),
+            AttackSpec(kind="DDoS", t_start=t0 + 1.005, t_end=t0 + 1.605,
+                       multiplier=10, payload_mode="random"),
+            AttackSpec(kind="Replay", t_start=t0 + 2.4, t_end=t0 + 2.7,
+                       source_start=t0 + 1.8),
+            AttackSpec(kind="Dropping", t_start=t0 + 3.0, t_end=t0 + 3.3),
+            AttackSpec(kind="DDoS", t_start=t0 + 3.5, t_end=t0 + 3.8,
+                       multiplier=4),
+        ]
+
+    def test_same_records_labelled_as_at_time_zero(self):
+        base = clean(duration=4.0)
+        shifted = base.replace_data(timestamps=base.timestamps + self.T0)
+        ref = inject_suite(base, self._suite(0.0), seed=5)
+        out = inject_suite(shifted, self._suite(self.T0), seed=5)
+        assert len(out) == len(ref)
+        assert np.array_equal(out.labels, ref.labels)
+        assert np.array_equal(out.signals, ref.signals)
+        assert np.allclose(out.timestamps - self.T0, ref.timestamps,
+                           rtol=0, atol=1e-6)
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         specs = [

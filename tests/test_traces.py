@@ -54,14 +54,6 @@ class TestTraceModel:
         with pytest.raises(ValueError):
             t.timestamps[0] = 99.0
 
-    def test_length_and_record_access(self):
-        t = make_trace(n=7)
-        assert len(t) == 7
-        rec = t.record(3)
-        assert rec.timestamp == pytest.approx(0.045)
-        assert rec.message_id == 0x101
-        assert rec.label == 0
-
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError):
             Trace(schema=SCHEMA, timestamps=np.arange(3.0),
