@@ -180,9 +180,6 @@ def build_model(k: int, hyper: PredictorHyper | None = None,
 # forward / backward
 
 
-_LSTM_LAYERS = ("enc1", "enc2", "dec1", "dec2")
-
-
 def _lstm_cells(params: dict[str, np.ndarray]) -> dict[str, LstmCellParams]:
     """The four LSTM layers as cell parameters. The cells share the arrays
     in `params`, so in-place updates (Adam, the gradient checker) reach
@@ -190,7 +187,7 @@ def _lstm_cells(params: dict[str, np.ndarray]) -> dict[str, LstmCellParams]:
     return {
         name: LstmCellParams(W_x=params[f"{name}.W_x"],
                              W_h=params[f"{name}.W_h"], b=params[f"{name}.b"])
-        for name in _LSTM_LAYERS
+        for name in ("enc1", "enc2", "dec1", "dec2")
     }
 
 
