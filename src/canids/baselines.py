@@ -10,7 +10,9 @@ never flagged.
 LOF compares each point's local reachability density to its neighbors'
 (score near 1 = inlier, substantially above 1 = outlier). Neighbor sets
 include distance ties, so they can hold more than k points; duplicate
-points are kept meaningful by flooring distances at 1e-12.
+points are kept meaningful by flooring distances at 1e-12. Distances are
+computed for one block of query rows at a time, so memory per block is
+bounded whatever the number of points.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _DIST_FLOOR = 1e-12
+_BLOCK_ENTRIES = 1 << 20  # distance entries per block of query rows
 
 
 @dataclass(frozen=True)
@@ -111,13 +114,13 @@ class LofConfig:
             raise ValueError("score_threshold must exceed 1")
 
 
-def lof_scores(points: np.ndarray, cfg: LofConfig,
-               chunk: int = 1024) -> np.ndarray:
+def lof_scores(points: np.ndarray, cfg: LofConfig) -> np.ndarray:
     """LOF score per point (higher = more isolated).
 
-    Computed in row chunks so the full n x n distance matrix is never
-    materialized. Anomaly convention: score > cfg.score_threshold; for ROC
-    sweeps that expect lower-is-anomalous, negate the scores.
+    Distances are computed for blocks of query rows, about _BLOCK_ENTRIES
+    entries each, so memory stays bounded and the full n x n matrix is
+    never materialized. Anomaly convention: score > cfg.score_threshold;
+    for ROC sweeps that expect lower-is-anomalous, negate the scores.
     """
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = len(X)
@@ -125,39 +128,53 @@ def lof_scores(points: np.ndarray, cfg: LofConfig,
     if n <= k:
         raise ValueError(f"need more than k_neighbors={k} points, got {n}")
     sq = np.sum(X * X, axis=1)
+    block = max(1, _BLOCK_ENTRIES // n)
 
-    def chunk_dists(lo: int, hi: int) -> np.ndarray:
+    # neighbor sets, flat and row-major: row i owns counts[i] entries
+    kdist = np.empty(n)
+    counts = np.empty(n, dtype=np.intp)
+    cols: list[np.ndarray] = []
+    dists: list[np.ndarray] = []
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
         d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (X[lo:hi] @ X.T)
         np.clip(d2, 0.0, None, out=d2)
         d = np.sqrt(d2)
         np.clip(d, _DIST_FLOOR, None, out=d)
-        return d
-
-    kdist = np.empty(n)
-    neigh_idx: list[np.ndarray] = []
-    neigh_dist: list[np.ndarray] = []
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        d = chunk_dists(lo, hi)
         d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # self is not a neighbor
-        part = np.partition(d, k - 1, axis=1)
-        kd = part[:, k - 1]
+        kd = np.partition(d, k - 1, axis=1)[:, k - 1]
         kdist[lo:hi] = kd
-        for r in range(hi - lo):
-            idx = np.flatnonzero(d[r] <= kd[r])  # includes ties
-            neigh_idx.append(idx)
-            neigh_dist.append(d[r, idx])
+        flat = np.flatnonzero(d <= kd[:, None])  # includes ties
+        row, col = np.divmod(flat, n)
+        counts[lo:hi] = np.bincount(row, minlength=hi - lo)
+        cols.append(col)
+        dists.append(d.ravel()[flat])
+    nbr = np.concatenate(cols)
+    groups = _row_groups(counts)
 
-    lrd = np.empty(n)
-    for p in range(n):
-        reach = np.maximum(kdist[neigh_idx[p]], neigh_dist[p])
-        lrd[p] = len(neigh_idx[p]) / np.sum(reach)
-    scores = np.empty(n)
-    for p in range(n):
-        scores[p] = np.mean(lrd[neigh_idx[p]]) / lrd[p]
-    return scores
+    reach = np.maximum(kdist[nbr], np.concatenate(dists))
+    lrd = counts / _row_sums(reach, groups, n)
+    # mean of the neighbors' lrd, then divided by the point's own: the
+    # rounding of np.mean(lrd[neighbors]) / lrd[p]
+    return _row_sums(lrd[nbr], groups, n) / counts / lrd
 
 
-def lof_flags(points: np.ndarray, cfg: LofConfig) -> np.ndarray:
-    """1 where the LOF score strictly exceeds the configured threshold."""
-    return (lof_scores(points, cfg) > cfg.score_threshold).astype(np.int64)
+def _row_groups(counts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows grouped by entry count, with each row's positions in the flat
+    arrays: (rows, positions) where positions has shape (len(rows), count)."""
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(counts, kind="stable")
+    cuts = np.flatnonzero(np.diff(counts[order])) + 1
+    return [(rows, starts[rows, None] + np.arange(counts[rows[0]]))
+            for rows in np.split(order, cuts)]
+
+
+def _row_sums(values: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]],
+              n: int) -> np.ndarray:
+    """Per-row sums of a flat row-major array. Each row is summed along the
+    last axis of a (rows, count) gather, in the order np.sum takes over
+    that row alone."""
+    out = np.empty(n)
+    for rows, positions in groups:
+        out[rows] = values[positions].sum(axis=1)
+    return out

@@ -12,6 +12,12 @@ cannot poison the model's own inputs. Slow arrivals (gap above
 they proceed through step two carrying a rate alarm, and the gap itself is
 the dropping-attack indicator.
 
+A frame stamped earlier than the latest arrival seen (a backward time
+jump, from a reordered or faulty capture) has a negative gap: it is
+too_fast and dropped as a rate violation, and the anchor stays at the
+latest time seen, so one late-stamped frame cannot open a gap that lets a
+flood through.
+
 Until the buffer has collected L accepted frames the stream is in warm-up:
 frames are rate-checked and buffered but delivered unscored.
 
@@ -24,7 +30,7 @@ takes its place in the buffer.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,16 +45,16 @@ DISPOSITIONS = ("Delivered", "DroppedAnomalous", "DroppedRateViolation")
 class RateCheckerState:
     """Tracks inter-arrival times against the expected period.
 
-    last_timestamp advances on every frame, accepted or not: during a
-    flood the bus is busy regardless of what we discard, and anchoring on
-    the last accepted frame would let late-in-gap flood frames look
-    legitimate.
+    last_timestamp is the latest arrival time seen. It advances on every
+    frame, accepted or not: during a flood the bus is busy regardless of
+    what we discard, and anchoring on the last accepted frame would let
+    late-in-gap flood frames look legitimate. It never moves back: a frame
+    stamped before it leaves it unchanged.
     """
 
     expected_period_ms: float
     tolerance_fraction: float = 0.2
     last_timestamp: float | None = None
-    recent_gaps: deque = field(default_factory=lambda: deque(maxlen=16))
 
     def __post_init__(self) -> None:
         if self.expected_period_ms <= 0:
@@ -61,17 +67,16 @@ def rate_check(state: RateCheckerState, timestamp: float) -> str:
     """Classify one arrival: 'ok', 'too_fast', or 'too_slow'.
 
     The first frame ever seen is 'ok' (no gap exists yet). too_slow doubles
-    as the dropping-attack signal.
+    as the dropping-attack signal. A timestamp earlier than the latest one
+    seen is 'too_fast' and leaves state.last_timestamp where it is.
     """
     if state.last_timestamp is None:
         state.last_timestamp = timestamp
         return "ok"
     dt = timestamp - state.last_timestamp
     if dt < 0:
-        raise ValueError(
-            f"decreasing timestamp: {timestamp} after {state.last_timestamp}")
+        return "too_fast"
     state.last_timestamp = timestamp
-    state.recent_gaps.append(dt)
     period_s = state.expected_period_ms / 1000.0
     if dt < (1.0 - state.tolerance_fraction) * period_s:
         return "too_fast"
@@ -159,7 +164,8 @@ def run_online(stream, model: PredictorModel,
 
     Each frame of `stream` is its arrival time in seconds and its raw
     physical signal values; scaling is applied here. Dispositions partition
-    the stream: every frame gets exactly one.
+    the stream: every frame gets exactly one. Times need not be ordered: a
+    frame stamped before the latest time seen is DroppedRateViolation.
 
     A frame that passes the rate check but whose scaled payload holds a NaN
     or an infinity is DroppedAnomalous with score None and never enters the

@@ -1,18 +1,22 @@
 """Bollinger-band and LOF baselines against loop-form oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from canids.baselines import (
     BollingerConfig,
     LofConfig,
     bollinger_flags,
     bollinger_message_flags,
-    lof_flags,
     lof_scores,
 )
+from canids import baselines
 
-from oracles import naive_lof, sma_bands_oracle
+from oracles import lof_scores_loop, naive_lof, sma_bands_oracle
 
 
 class TestSmaBollinger:
@@ -148,11 +152,13 @@ class TestLof:
             ref = naive_lof(X, k)
             assert np.max(np.abs(got - ref)) < 1e-9
 
-    def test_chunking_does_not_change_scores(self):
+    def test_chunking_does_not_change_scores(self, monkeypatch):
         X = np.random.default_rng(4).normal(size=(150, 3))
         cfg = LofConfig(k_neighbors=10)
-        a = lof_scores(X, cfg, chunk=7)
-        b = lof_scores(X, cfg, chunk=10_000)
+        monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", 7 * len(X))
+        a = lof_scores(X, cfg)
+        monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", 10_000 * len(X))
+        b = lof_scores(X, cfg)
         assert np.array_equal(a, b)
 
     def test_uniform_grid_interior_is_near_one(self):
@@ -176,15 +182,6 @@ class TestLof:
         scores = lof_scores(X, LofConfig(k_neighbors=5))
         assert np.allclose(scores, 1.0)
 
-    def test_flags_strictly_above_threshold(self):
-        X = np.vstack([np.random.default_rng(6).normal(size=(80, 2)),
-                       [[25.0, 25.0]]])
-        cfg = LofConfig(k_neighbors=10, score_threshold=1.5)
-        flags = lof_flags(X, cfg)
-        scores = lof_scores(X, cfg)
-        assert np.array_equal(flags, (scores > 1.5).astype(int))
-        assert flags[-1] == 1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LofConfig(k_neighbors=0)
@@ -192,3 +189,75 @@ class TestLof:
             LofConfig(score_threshold=1.0)
         with pytest.raises(ValueError, match="more than"):
             lof_scores(np.zeros((5, 2)), LofConfig(k_neighbors=5))
+
+
+def _clusters(rng, n_groups: int, size: int, dim: int) -> np.ndarray:
+    """n_groups points, each repeated size times, in shuffled order."""
+    centers = rng.normal(size=(n_groups, dim))
+    return centers[rng.permutation(np.repeat(np.arange(n_groups), size))]
+
+
+def _lattice(side: int, dim: int) -> np.ndarray:
+    axes = np.meshgrid(*[np.arange(float(side))] * dim, indexing="ij")
+    return np.column_stack([a.ravel() for a in axes])
+
+
+_HARD_CASES = {
+    # duplicate clusters larger than k, plus scattered singletons
+    "clusters": (np.vstack([
+        _clusters(np.random.default_rng(7), 12, 9, 3),
+        np.random.default_rng(8).normal(size=(40, 3))]), (1, 5, 8)),
+    "lattice_ties": (_lattice(7, 2), (1, 4, 8)),
+    "lattice_3d": (_lattice(5, 3), (1, 6, 20)),
+    "n_is_k_plus_one": (np.random.default_rng(9).normal(size=(6, 2)), (5,)),
+    "two_points": (np.array([[0.0, 1.0], [2.0, 3.0]]), (1,)),
+    "one_column": (np.round(np.random.default_rng(10).normal(size=(90, 1)),
+                            1), (1, 3, 10)),
+}
+
+
+class TestLofMatchesLoopReference:
+    """lof_scores must equal the per-point loop form bit for bit.
+
+    The distance block's height decides how BLAS rounds X[lo:hi] @ X.T in
+    the last bits, so the reference runs on the same row blocks."""
+
+    @pytest.mark.parametrize("case", sorted(_HARD_CASES))
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_hard_cases(self, monkeypatch, case, rows):
+        X, ks = _HARD_CASES[case]
+        n = len(X)
+        rows = rows or n
+        monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", rows * n)
+        for k in ks:
+            got = lof_scores(X, LofConfig(k_neighbors=k))
+            assert np.array_equal(got, lof_scores_loop(X, k, chunk=rows)), k
+
+    def test_default_block_on_a_capture_sized_set(self):
+        # 2,300 rows: the default block is 455 rows, so the last block is
+        # partial; the points sit on a coarse grid, as quantized CAN
+        # signals do, with many duplicates
+        rng = np.random.default_rng(11)
+        X = np.round(rng.normal(size=(2300, 3)), 1)
+        block = max(1, baselines._BLOCK_ENTRIES // len(X))
+        assert 1 < block < len(X)
+        for k in (1, 20):
+            got = lof_scores(X, LofConfig(k_neighbors=k))
+            assert np.array_equal(got, lof_scores_loop(X, k, chunk=block))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=hs.integers(0, 2**32 - 1), n_distinct=hs.integers(1, 25),
+           n=hs.integers(2, 60), dim=hs.integers(1, 3),
+           grid=hs.sampled_from([None, 1.0, 0.5]),
+           k=hs.integers(1, 12), rows=hs.integers(1, 64))
+    def test_small_sets_with_forced_duplicates(self, seed, n_distinct, n,
+                                               dim, grid, k, rows):
+        rng = np.random.default_rng(seed)
+        distinct = rng.normal(scale=3.0, size=(n_distinct, dim))
+        if grid is not None:
+            distinct = np.round(distinct / grid) * grid
+        X = distinct[rng.integers(0, n_distinct, size=n)]
+        k = min(k, n - 1)
+        with mock.patch.object(baselines, "_BLOCK_ENTRIES", rows * n):
+            got = lof_scores(X, LofConfig(k_neighbors=k))
+        assert np.array_equal(got, lof_scores_loop(X, k, chunk=rows))

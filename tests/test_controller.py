@@ -56,11 +56,31 @@ class TestRateCheck:
             assert rate_check(st, i * 0.0015) == "too_fast"
         assert rate_check(st, 5 * 0.0015 + 0.015) == "ok"
 
-    def test_decreasing_timestamp_rejected(self):
+    def test_decreasing_timestamp_is_too_fast_and_anchor_stays(self):
         st = RateCheckerState(expected_period_ms=15.0)
-        rate_check(st, 1.0)
-        with pytest.raises(ValueError, match="decreasing"):
-            rate_check(st, 0.5)
+        assert rate_check(st, 1.0) == "ok"
+        assert rate_check(st, 0.5) == "too_fast"
+        assert st.last_timestamp == 1.0
+        # gaps are still measured from the latest time seen
+        assert rate_check(st, 1.0 - 0.015) == "too_fast"
+        assert rate_check(st, 1.015) == "ok"
+        assert st.last_timestamp == 1.015
+
+    def test_backward_jump_is_a_rate_drop_in_the_gateway(self):
+        k = 2
+        model = build_model(k=k, hyper=HYPER, seed=0)
+        # frame 6 is stamped four periods back; the rest keep the period
+        # counted from frame 5
+        stream = [(t if i < 6 else t - 0.015, x)
+                  for i, (t, x) in enumerate(_clean_stream(10))]
+        stream[6] = (stream[2][0], stream[6][1])
+        out = run_online(stream, model, StaticThreshold(threshold=100.0),
+                         "ST", _unit_scaling(k), 15.0)
+        assert [d.index for d in out] == list(range(10))
+        assert out[6].disposition == "DroppedRateViolation"
+        assert out[6].rate_flag == "too_fast" and out[6].score is None
+        assert all(d.disposition == "Delivered" for d in out if d.index != 6)
+        assert out[7].rate_flag == "ok"  # gap measured from frame 5
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -277,7 +297,7 @@ class TestNonFinitePayloads:
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(k=hs.integers(1, 3), L=hs.integers(1, 5),
            frames=hs.lists(hs.tuples(
-               hs.sampled_from([0.001, 0.015, 0.015, 0.015, 0.04]),
+               hs.sampled_from([0.001, 0.015, 0.015, 0.015, 0.04, -0.03]),
                hs.one_of(hs.none(), hs.sampled_from(
                    [np.nan, np.inf, -np.inf]))), max_size=30),
            bad_signal=hs.integers(0, 2),
@@ -304,10 +324,14 @@ class TestNonFinitePayloads:
         assert [d.index for d in out] == list(range(len(stream)))
         assert all(d.disposition in DISPOSITIONS for d in out)
         assert all(np.isfinite(v).all() for v in pushed)
-        for d, (_, payload) in zip(out, stream):
+        latest = -np.inf
+        for d, (t, payload) in zip(out, stream):
             if not np.isfinite(payload).all():
                 assert d.disposition != "Delivered"
                 assert d.score is None
+            if t < latest:
+                assert d.disposition == "DroppedRateViolation"
+            latest = max(latest, t)
 
 
 def _never_flags(variant: str, dim: int, rng) -> OcsvmModel | StaticThreshold:

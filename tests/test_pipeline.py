@@ -1,9 +1,13 @@
 """End-to-end pipeline stages: seeding, suite expansion, detection tables,
 interchange CSV, full experiment runs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from canids import metrics, pipeline
+from canids.baselines import LofConfig, lof_scores
 from canids.config import load_config_dict
 from canids.detector import OcsvmModel, StaticThreshold
 from canids.metrics import AttackReport
@@ -348,6 +352,19 @@ class TestBaselineReports:
         # bollinger has no scores, LOF does
         assert reports["SMA-BB"].auc is None
         assert reports["LOF"].auc is not None
+
+    def test_lof_flags_scores_strictly_above_threshold(self):
+        attacked, specs = inject(CFG, gen_trace(CFG, "test"))
+        with mock.patch.object(pipeline.mx, "attack_report",
+                               wraps=metrics.attack_report) as report:
+            baseline_reports(CFG, attacked, specs, eval_from=8)
+        flags, neg_scores = report.call_args_list[-1].args[2:4]
+        thr = CFG.baselines.lof_threshold
+        lof = lof_scores(attacked.signals, LofConfig(
+            k_neighbors=CFG.baselines.lof_k, score_threshold=thr))
+        assert np.array_equal(neg_scores, -lof)
+        assert np.array_equal(flags, (lof > thr).astype(np.int64))
+        assert 0 < flags.sum() < len(flags)
 
 
 class TestRunExperiment:
