@@ -15,7 +15,6 @@ from .traces import (
     Trace,
     apply_scaling,
     fit_and_scale,
-    invert_scaling,
     load_scaling,
     load_trace,
     save_scaling,
@@ -32,7 +31,6 @@ __all__ = [
     "Trace",
     "apply_scaling",
     "fit_and_scale",
-    "invert_scaling",
     "load_scaling",
     "load_trace",
     "save_scaling",

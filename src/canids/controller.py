@@ -16,7 +16,10 @@ A frame stamped earlier than the latest arrival seen (a backward time
 jump, from a reordered or faulty capture) has a negative gap: it is
 too_fast and dropped as a rate violation, and the anchor stays at the
 latest time seen, so one late-stamped frame cannot open a gap that lets a
-flood through.
+flood through. A frame whose timestamp is NaN or infinite has no gap at
+all: it is too_fast and dropped as a rate violation, and the anchor stays
+where it was (unset, if it is the first frame), so one corrupt stamp can
+neither wave a flood frame through nor push every later frame out.
 
 Until the buffer has collected L accepted frames the stream is in warm-up:
 frames are rate-checked and buffered but delivered unscored.
@@ -29,6 +32,7 @@ takes its place in the buffer.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -49,7 +53,8 @@ class RateCheckerState:
     frame, accepted or not: during a flood the bus is busy regardless of
     what we discard, and anchoring on the last accepted frame would let
     late-in-gap flood frames look legitimate. It never moves back: a frame
-    stamped before it leaves it unchanged.
+    stamped before it leaves it unchanged. A non-finite timestamp never
+    moves it either.
     """
 
     expected_period_ms: float
@@ -68,8 +73,12 @@ def rate_check(state: RateCheckerState, timestamp: float) -> str:
 
     The first frame ever seen is 'ok' (no gap exists yet). too_slow doubles
     as the dropping-attack signal. A timestamp earlier than the latest one
-    seen is 'too_fast' and leaves state.last_timestamp where it is.
+    seen, or one that is NaN or infinite, is 'too_fast' and leaves
+    state.last_timestamp where it is; a non-finite first frame leaves it
+    None.
     """
+    if not math.isfinite(timestamp):
+        return "too_fast"
     if state.last_timestamp is None:
         state.last_timestamp = timestamp
         return "ok"
@@ -164,8 +173,9 @@ def run_online(stream, model: PredictorModel,
 
     Each frame of `stream` is its arrival time in seconds and its raw
     physical signal values; scaling is applied here. Dispositions partition
-    the stream: every frame gets exactly one. Times need not be ordered: a
-    frame stamped before the latest time seen is DroppedRateViolation.
+    the stream: every frame gets exactly one. Times need not be ordered or
+    finite: a frame stamped before the latest time seen, or with a NaN or
+    infinite time, is DroppedRateViolation.
 
     A frame that passes the rate check but whose scaled payload holds a NaN
     or an infinity is DroppedAnomalous with score None and never enters the

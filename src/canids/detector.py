@@ -35,32 +35,11 @@ VARIANTS = ("ST", "Diff", "Sum", "Avg", "Max")
 # deviations
 
 
-def deviation(pred: np.ndarray, actual: np.ndarray, mode: str):
-    """Per-message deviation: Diff returns the signed vector pred - actual;
-    Sum, Avg, Max reduce its absolute values to a scalar."""
-    pred = np.asarray(pred, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
-    if pred.shape != actual.shape or pred.ndim != 1:
-        raise ValueError(
-            f"pred and actual must be equal-length vectors, got "
-            f"{pred.shape} and {actual.shape}")
-    delta = pred - actual
-    if mode == "Diff":
-        return delta
-    a = np.abs(delta)
-    if mode == "Sum":
-        return float(a.sum())
-    if mode == "Avg":
-        return float(a.mean())
-    if mode == "Max":
-        return float(a.max())
-    raise ValueError(f"unknown deviation mode {mode!r}")
-
-
 def deviation_matrix(preds: np.ndarray, actuals: np.ndarray,
                      mode: str) -> np.ndarray:
-    """Row-wise deviations for N messages: (N, k) for Diff, (N, 1) for the
-    scalar reductions, ready to feed a detector."""
+    """Row-wise deviations for N messages: Diff is the signed (N, k)
+    pred - actual; Sum, Avg and Max reduce its absolute values to (N, 1),
+    ready to feed a detector."""
     preds = np.asarray(preds, dtype=np.float64)
     actuals = np.asarray(actuals, dtype=np.float64)
     if preds.shape != actuals.shape or preds.ndim != 2:

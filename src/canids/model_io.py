@@ -6,8 +6,9 @@ threshold. Layout:
     8 bytes   magic  b"CANIDSMF"
     4 bytes   format version, uint32 little-endian
     8 bytes   header length H, uint64 little-endian
-    H bytes   UTF-8 JSON header: model_type, metadata, ordered block
-              descriptors [{name, shape}, ...]
+    H bytes   UTF-8 JSON header, an object: model_type, meta (an object),
+              and blocks, the ordered block descriptors
+              [{"name": str, "shape": [int >= 0, ...]}, ...], names unique
     payload   the blocks' float64 values, little-endian, C order,
               concatenated in descriptor order
 
@@ -18,6 +19,7 @@ byte and round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +52,9 @@ def save_arrays(path: str | Path, model_type: str, meta: dict,
 
 def load_arrays(path: str | Path, expected_type: str | None = None
                 ) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container back as (meta, name->array). Fails loudly on a bad
-    magic, an unsupported version, truncation, or trailing garbage."""
+    """Read a container back as (meta, name->array). Raises ValueError
+    naming the file on a bad magic, an unsupported version, a header that
+    breaks the layout above, truncation, or trailing garbage."""
     raw = Path(path).read_bytes()
     if len(raw) < len(MAGIC) + 12:
         raise ValueError(f"{path}: truncated file")
@@ -73,21 +76,34 @@ def load_arrays(path: str | Path, expected_type: str | None = None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt header: {exc}") from None
     off += header_len
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    if not isinstance(header.get("meta"), dict):
+        raise ValueError(f"{path}: header meta is not a JSON object")
+    if not isinstance(header.get("blocks"), list):
+        raise ValueError(f"{path}: header blocks is not a JSON list")
     model_type = header.get("model_type")
     if expected_type is not None and model_type != expected_type:
         raise ValueError(
             f"{path}: holds a {model_type!r} model, expected {expected_type!r}")
     blocks: dict[str, np.ndarray] = {}
-    for desc in header.get("blocks", []):
-        shape = tuple(int(s) for s in desc["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for desc in header["blocks"]:
+        if not (isinstance(desc, dict) and set(desc) == {"name", "shape"}
+                and isinstance(desc["name"], str)
+                and isinstance(desc["shape"], list)
+                and all(type(n) is int and n >= 0 for n in desc["shape"])):
+            raise ValueError(f"{path}: malformed block descriptor {desc!r}")
+        name = desc["name"]
+        if name in blocks:
+            raise ValueError(f"{path}: duplicate block {name!r}")
+        shape = tuple(desc["shape"])
+        count = math.prod(shape)
         nbytes = count * 8
         if len(raw) < off + nbytes:
-            raise ValueError(
-                f"{path}: truncated payload in block {desc['name']!r}")
+            raise ValueError(f"{path}: truncated payload in block {name!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-        blocks[desc["name"]] = arr.reshape(shape).astype(np.float64)
+        blocks[name] = arr.reshape(shape).astype(np.float64)
         off += nbytes
     if off != len(raw):
         raise ValueError(f"{path}: {len(raw) - off} trailing bytes")
-    return header.get("meta", {}), blocks
+    return header["meta"], blocks

@@ -6,15 +6,16 @@ cannot sustain. Layers come in forward/backward pairs with explicit caches
 instead of an autodiff graph; parameters live in flat name->array dicts so
 the optimizer and the checker can treat them uniformly.
 
-Inputs are batches (B, d) whose rows are independent passes; the forward
-step also takes a single vector (d,).
+An LSTM layer runs over a whole batch of sequences (B, L, d) in one call,
+step by step inside; the B rows are independent passes.
 
-Finiteness is checked at the boundaries, not per step: the predictor
-rejects non-finite weights once, when a model is built, trained or loaded,
-and checks its predictions once per forward pass. The LSTM cell itself
-checks only shapes. `softmax` checks its row maxima, which it computes
-anyway, and the predictor calls it once per forward pass over every
-step's scores; `adam_step` checks each gradient.
+Finiteness and shapes are checked at the boundaries, not per step: the
+predictor checks every weight block's shape and rejects non-finite weights
+once, when a model is built, trained or loaded, and checks its predictions
+once per forward pass. The LSTM layer functions check nothing. `softmax`
+checks its row maxima, which it computes anyway, and the predictor calls
+it once per forward pass over every step's scores; `adam_step` checks
+each gradient.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def init_linear(rng: np.random.Generator, d_out: int, d_in: int
 
 
 # --------------------------------------------------------------------------
-# LSTM cell
+# LSTM layer
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: 1/(1+e^-z) for z >= 0 and
@@ -50,99 +51,102 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-@dataclass(frozen=True)
-class LstmCellParams:
-    """One LSTM cell: gate rows stacked [input; forget; candidate; output].
-
-    W_x: (4H, D) input-to-gate, W_h: (4H, H) hidden-to-gate, b: (4H,).
-    Only shapes are checked here; the owner of the weights checks that they
-    are finite (see `predictor.PredictorModel`).
-    """
-
-    W_x: np.ndarray
-    W_h: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.W_x.ndim != 2 or self.W_h.ndim != 2 or self.b.ndim != 1:
-            raise ValueError("W_x, W_h must be matrices and b a vector")
-        four_h = self.W_x.shape[0]
-        if four_h % 4 != 0:
-            raise ValueError("gate dimension must be a multiple of 4")
-        h = four_h // 4
-        if self.W_h.shape != (four_h, h) or self.b.shape != (four_h,):
-            raise ValueError(
-                f"inconsistent LSTM shapes: W_x {self.W_x.shape}, "
-                f"W_h {self.W_h.shape}, b {self.b.shape}")
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_h.shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W_x.shape[1]
-
-
 def init_lstm_cell(rng: np.random.Generator, hidden_dim: int, input_dim: int
-                   ) -> LstmCellParams:
-    """Uniform +-1/sqrt(fan_in) weights; forget-gate bias +1, others 0."""
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One LSTM layer's (W_x (4H, D), W_h (4H, H), b (4H,)), gate rows
+    stacked [input; forget; candidate; output]. Uniform +-1/sqrt(fan_in)
+    weights; forget-gate bias +1, others 0."""
     W_x, _ = init_linear(rng, 4 * hidden_dim, input_dim)
     W_h, _ = init_linear(rng, 4 * hidden_dim, hidden_dim)
     b = np.zeros(4 * hidden_dim)
     b[hidden_dim: 2 * hidden_dim] = 1.0
-    return LstmCellParams(W_x=W_x, W_h=W_h, b=b)
+    return W_x, W_h, b
 
 
-def lstm_cell_forward(p: LstmCellParams, x: np.ndarray, h_prev: np.ndarray,
-                      c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One step: i,f,o sigmoid gates, g tanh candidate,
-    c = f*c_prev + i*g, h = o*tanh(c). Returns (h, c, cache)."""
-    H = p.hidden_dim
-    if x.shape[-1] != p.input_dim:
-        raise ValueError(f"input width {x.shape[-1]}, cell expects {p.input_dim}")
-    if h_prev.shape[-1] != H or c_prev.shape[-1] != H:
-        raise ValueError("state width does not match hidden_dim")
-    z = x @ p.W_x.T + h_prev @ p.W_h.T + p.b
-    # one sigmoid pass over all four gate blocks; the candidate block's
-    # sigmoid is discarded, which costs less than three separate passes
-    gates = _sigmoid(z)
-    i = gates[..., 0:H]
-    f = gates[..., H: 2 * H]
-    g = np.tanh(z[..., 2 * H: 3 * H])
-    o = gates[..., 3 * H: 4 * H]
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, (x, h_prev, c_prev, i, f, g, o, tc)
+def lstm_layer_forward(W_x: np.ndarray, W_h: np.ndarray, b: np.ndarray,
+                       X: np.ndarray, want_cache: bool
+                       ) -> tuple[np.ndarray, tuple | None]:
+    """Run one LSTM layer over B sequences X (B, L, D) from zero states.
 
-
-def lstm_cell_backward(p: LstmCellParams, cache: tuple, g_h: np.ndarray,
-                       g_c: np.ndarray) -> tuple:
-    """Backward of one batched (B, d) step.
-
-    g_h, g_c: upstream gradients on this step's h and c. Returns
-    (g_x, g_h_prev, g_c_prev, gW_x, gW_h, gb).
+    Step s: z = x_s W_x^T + h W_h^T + b; i, f, o sigmoid gates, g tanh
+    candidate; c = f*c + i*g, h = o*tanh(c). Returns the hidden states
+    (B, L, H) and, with want_cache, the stacks the backward needs: X, the
+    hidden states (L+1, B, H) and cell states (L+1, B, H) with the zero
+    initial state first, the gate activations (L, B, 4H) with tanh in the
+    candidate block, and tanh(c) (L, B, H). Shapes are the caller's to
+    check.
     """
-    x, h_prev, c_prev, i, f, g, o, tc = cache
-    d_o = g_h * tc
-    g_c_tot = g_c + g_h * o * (1.0 - tc * tc)
-    d_f = g_c_tot * c_prev
-    d_i = g_c_tot * g
-    d_g = g_c_tot * i
-    g_c_prev = g_c_tot * f
-    dz = np.concatenate([
-        d_i * i * (1.0 - i),
-        d_f * f * (1.0 - f),
-        d_g * (1.0 - g * g),
-        d_o * o * (1.0 - o),
-    ], axis=-1)
-    gW_x = dz.T @ x
-    gW_h = dz.T @ h_prev
-    gb = dz.sum(axis=0)
-    g_x = dz @ p.W_x
-    g_h_prev = dz @ p.W_h
-    return g_x, g_h_prev, g_c_prev, gW_x, gW_h, gb
+    B, L, _ = X.shape
+    H = W_h.shape[1]
+    W_xT, W_hT = W_x.T, W_h.T
+    out = np.empty((B, L, H))
+    h = c = np.zeros((B, H))
+    if want_cache:
+        hs = np.empty((L + 1, B, H))
+        cs = np.empty((L + 1, B, H))
+        hs[0] = cs[0] = 0.0
+        gates_all = np.empty((L, B, 4 * H))
+        tcs = np.empty((L, B, H))
+    for s in range(L):
+        z = X[:, s] @ W_xT + h @ W_hT + b
+        # one sigmoid pass over all four gate blocks; the candidate block's
+        # sigmoid is discarded, which costs less than three separate passes
+        gates = _sigmoid(z)
+        i = gates[:, :H]
+        f = gates[:, H: 2 * H]
+        g = np.tanh(z[:, 2 * H: 3 * H])
+        o = gates[:, 3 * H:]
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        out[:, s] = h
+        if want_cache:
+            gates[:, 2 * H: 3 * H] = g
+            hs[s + 1], cs[s + 1], gates_all[s], tcs[s] = h, c, gates, tc
+    if not want_cache:
+        return out, None
+    return out, (X, hs, cs, gates_all, tcs)
+
+
+def lstm_layer_backward(W_x: np.ndarray, W_h: np.ndarray, cache: tuple,
+                        g_H: np.ndarray) -> tuple:
+    """Backward of `lstm_layer_forward` through time, last step first.
+
+    g_H: upstream gradients (B, L, H) on the hidden states. Returns
+    (g_X (B, L, D), gW_x, gW_h, gb).
+    """
+    X, hs, cs, gates_all, tcs = cache
+    B, L, H = g_H.shape
+    g_X = np.empty(X.shape)
+    gW_x = np.zeros_like(W_x)
+    gW_h = np.zeros_like(W_h)
+    gb = np.zeros(4 * H)
+    g_h = g_c = np.zeros((B, H))
+    for s in reversed(range(L)):
+        gates, tc = gates_all[s], tcs[s]
+        i = gates[:, :H]
+        f = gates[:, H: 2 * H]
+        g = gates[:, 2 * H: 3 * H]
+        o = gates[:, 3 * H:]
+        g_h = g_H[:, s] + g_h
+        d_o = g_h * tc
+        g_c_tot = g_c + g_h * o * (1.0 - tc * tc)
+        d_f = g_c_tot * cs[s]
+        d_i = g_c_tot * g
+        d_g = g_c_tot * i
+        g_c = g_c_tot * f
+        dz = np.concatenate([
+            d_i * i * (1.0 - i),
+            d_f * f * (1.0 - f),
+            d_g * (1.0 - g * g),
+            d_o * o * (1.0 - o),
+        ], axis=-1)
+        gW_x += dz.T @ X[:, s]
+        gW_h += dz.T @ hs[s]
+        gb += dz.sum(axis=0)
+        g_X[:, s] = dz @ W_x
+        g_h = dz @ W_h
+    return g_X, gW_x, gW_h, gb
 
 
 # --------------------------------------------------------------------------

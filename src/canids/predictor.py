@@ -26,20 +26,19 @@ gradient checker in `nn` is the authority on its correctness.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model_io
 from .nn import (
     AdamState,
-    LstmCellParams,
     _check_finite,
     adam_step,
     init_linear,
     init_lstm_cell,
-    lstm_cell_backward,
-    lstm_cell_forward,
+    lstm_layer_backward,
+    lstm_layer_forward,
     mse_loss,
     softmax,
 )
@@ -110,16 +109,13 @@ class PredictorModel:
 
     Construction checks every parameter block's shape and rejects
     non-finite weights, so built, trained and loaded models are all
-    checked once here and the forward pass does not re-scan them. It also
-    builds the four LSTM layers' cell parameters once, as `cells`.
+    checked once here and the forward pass does not re-scan them.
     """
 
     k: int
     hyper: PredictorHyper
     params: dict[str, np.ndarray]
     version: str = MODEL_VERSION
-    cells: dict[str, LstmCellParams] = field(init=False, repr=False,
-                                             compare=False)
 
     def __post_init__(self) -> None:
         expected = param_shapes(self.k, self.hyper.embed_dim,
@@ -133,7 +129,6 @@ class PredictorModel:
                     f"expected {shape}")
             if not np.isfinite(self.params[name]).all():
                 raise ValueError(f"block {name!r} holds non-finite values")
-        object.__setattr__(self, "cells", _lstm_cells(self.params))
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -163,32 +158,19 @@ def build_model(k: int, hyper: PredictorHyper | None = None,
     params: dict[str, np.ndarray] = {}
     params["embed.W"], params["embed.b"] = init_linear(rng, e, k)
     for name, d_in in (("enc1", e), ("enc2", h)):
-        cell = init_lstm_cell(rng, h, d_in)
         params[f"{name}.W_x"], params[f"{name}.W_h"], params[f"{name}.b"] = (
-            cell.W_x, cell.W_h, cell.b)
+            init_lstm_cell(rng, h, d_in))
     params["attn.W"], params["attn.b"] = init_linear(rng, h, h)
     params["combine.W"], params["combine.b"] = init_linear(rng, h, 2 * h)
     for name in ("dec1", "dec2"):
-        cell = init_lstm_cell(rng, h, h)
         params[f"{name}.W_x"], params[f"{name}.W_h"], params[f"{name}.b"] = (
-            cell.W_x, cell.W_h, cell.b)
+            init_lstm_cell(rng, h, h))
     params["out.W"], params["out.b"] = init_linear(rng, k, h)
     return PredictorModel(k=k, hyper=hyper, params=params)
 
 
 # --------------------------------------------------------------------------
 # forward / backward
-
-
-def _lstm_cells(params: dict[str, np.ndarray]) -> dict[str, LstmCellParams]:
-    """The four LSTM layers as cell parameters. The cells share the arrays
-    in `params`, so in-place updates (Adam, the gradient checker) reach
-    them; build them once per model or training run, not per forward."""
-    return {
-        name: LstmCellParams(W_x=params[f"{name}.W_x"],
-                             W_h=params[f"{name}.W_h"], b=params[f"{name}.b"])
-        for name in ("enc1", "enc2", "dec1", "dec2")
-    }
 
 
 @functools.lru_cache(maxsize=16)
@@ -215,37 +197,39 @@ def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return g.reshape(-1, g.shape[-1]).T @ x.reshape(-1, x.shape[-1])
 
 
-def _forward_batch(params: dict[str, np.ndarray],
-                   cells: dict[str, LstmCellParams], windows: np.ndarray,
+def _lstm(params: dict[str, np.ndarray], name: str, X: np.ndarray,
+          want_cache: bool) -> tuple[np.ndarray, tuple | None]:
+    return lstm_layer_forward(params[f"{name}.W_x"], params[f"{name}.W_h"],
+                              params[f"{name}.b"], X, want_cache)
+
+
+def _lstm_backward(params: dict[str, np.ndarray],
+                   grads: dict[str, np.ndarray], name: str, cache: tuple,
+                   g_H: np.ndarray) -> np.ndarray:
+    g_X, grads[f"{name}.W_x"], grads[f"{name}.W_h"], grads[f"{name}.b"] = (
+        lstm_layer_backward(params[f"{name}.W_x"], params[f"{name}.W_h"],
+                            cache, g_H))
+    return g_X
+
+
+def _forward_batch(params: dict[str, np.ndarray], windows: np.ndarray,
                    want_cache: bool) -> tuple[np.ndarray, dict | None]:
     """Run B windows of shape (B, L, k); returns predictions (B, L, k).
 
-    Follows the model's dataflow in three stages:
-    1. the encoder (enc1, enc2) runs over all L steps, giving H2 (B, L, H);
-    2. one causal attention pass covers every step at once:
-       scores[s, j] = <attn(h2_s), h2_j>, set to -inf for j > s,
-       alpha = softmax(scores) (zero above the diagonal), a_s = sum_j
-       alpha[s, j] h2_j and phi_s = tanh(combine([a_s ; h2_s]));
-    3. the decoder (dec1, dec2) runs over phi.
+    One call per layer, in the model's dataflow order: embed, enc1, enc2,
+    one causal attention pass over every step at once, dec1, dec2, out.
+    The attention pass computes scores[s, j] = <attn(h2_s), h2_j>, set to
+    -inf for j > s, alpha = softmax(scores) (zero above the diagonal),
+    a_s = sum_j alpha[s, j] h2_j and phi_s = tanh(combine([a_s ; h2_s])).
 
     The cache holds the attention tensors stacked over steps (q, alpha,
-    concat, phi) and each LSTM layer's per-step cell caches.
+    concat, phi) and each LSTM layer's stacked cache.
     """
     B, L, k = windows.shape
     H = params["attn.W"].shape[0]
     e_all = _affine(windows, params["embed.W"], params["embed.b"])
-    zeros = np.zeros((B, H))
-    enc1_c, enc2_c, dec1_c, dec2_c = [], [], [], []
-
-    H2 = np.empty((B, L, H))
-    h1 = c1 = h2 = c2 = zeros
-    for s in range(L):
-        h1, c1, cch1 = lstm_cell_forward(cells["enc1"], e_all[:, s], h1, c1)
-        h2, c2, cch2 = lstm_cell_forward(cells["enc2"], h1, h2, c2)
-        H2[:, s] = h2
-        if want_cache:
-            enc1_c.append(cch1)
-            enc2_c.append(cch2)
+    H1, enc1 = _lstm(params, "enc1", e_all, want_cache)
+    H2, enc2 = _lstm(params, "enc2", H1, want_cache)
 
     q = _affine(H2, params["attn.W"], params["attn.b"])
     scores = q @ H2.transpose(0, 2, 1)
@@ -259,61 +243,35 @@ def _forward_batch(params: dict[str, np.ndarray],
     phi = _affine(concat, params["combine.W"], params["combine.b"])
     np.tanh(phi, out=phi)
 
-    D2 = np.empty((B, L, H))
-    d1 = dc1 = d2 = dc2 = zeros
-    for s in range(L):
-        d1, dc1, cch1 = lstm_cell_forward(cells["dec1"], phi[:, s], d1, dc1)
-        d2, dc2, cch2 = lstm_cell_forward(cells["dec2"], d1, d2, dc2)
-        D2[:, s] = d2
-        if want_cache:
-            dec1_c.append(cch1)
-            dec2_c.append(cch2)
+    D1, dec1 = _lstm(params, "dec1", phi, want_cache)
+    D2, dec2 = _lstm(params, "dec2", D1, want_cache)
     preds = _affine(D2, params["out.W"], params["out.b"])
     if not want_cache:
         return preds, None
     cache = {
-        "windows": windows, "e_all": e_all, "H2": H2, "D2": D2,
-        "enc1": enc1_c, "enc2": enc2_c, "dec1": dec1_c, "dec2": dec2_c,
+        "windows": windows, "H2": H2, "D2": D2,
+        "enc1": enc1, "enc2": enc2, "dec1": dec1, "dec2": dec2,
         "q": q, "alpha": alpha, "concat": concat, "phi": phi,
     }
     return preds, cache
 
 
-def _backward_batch(params: dict[str, np.ndarray],
-                    cells: dict[str, LstmCellParams], cache: dict,
+def _backward_batch(params: dict[str, np.ndarray], cache: dict,
                     g_preds: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss with upstream g_preds on the (B, L, k)
-    prediction tensor, in the reverse of the forward's three stages:
-    1. the decoder backward loop collects g_phi (B, L, H);
-    2. one attention backward pass gives g_H2 for every step, each h2_j
-       receiving from every step s >= j that attends to it;
-    3. the encoder backward loop consumes g_H2.
+    prediction tensor, one call per layer in the reverse of the forward:
+    out, dec2, dec1, attention, enc2, enc1, embed. In the attention pass
+    each h2_j receives from every step s >= j that attends to it.
     """
     windows, H2, D2 = cache["windows"], cache["H2"], cache["D2"]
     q, alpha, concat, phi = (cache[n] for n in ("q", "alpha", "concat", "phi"))
-    B, L, k = g_preds.shape
     H = H2.shape[2]
-    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    grads: dict[str, np.ndarray] = {}
     grads["out.W"] = _weight_grad(g_preds, D2)
     grads["out.b"] = g_preds.sum(axis=(0, 1))
     gD2 = g_preds @ params["out.W"]
-
-    def cell_backward(name, step_cache, g_h, g_c):
-        g_x, g_h_prev, g_c_prev, gWx, gWh, gb = lstm_cell_backward(
-            cells[name], step_cache, g_h, g_c)
-        grads[f"{name}.W_x"] += gWx
-        grads[f"{name}.W_h"] += gWh
-        grads[f"{name}.b"] += gb
-        return g_x, g_h_prev, g_c_prev
-
-    zero = np.zeros((B, H))
-    g_phi = np.empty((B, L, H))
-    gd2h = gd2c = gd1h = gd1c = zero
-    for s in reversed(range(L)):
-        gx, gd2h, gd2c = cell_backward("dec2", cache["dec2"][s],
-                                       gD2[:, s] + gd2h, gd2c)
-        g_phi[:, s], gd1h, gd1c = cell_backward("dec1", cache["dec1"][s],
-                                                gx + gd1h, gd1c)
+    gD1 = _lstm_backward(params, grads, "dec2", cache["dec2"], gD2)
+    g_phi = _lstm_backward(params, grads, "dec1", cache["dec1"], gD1)
 
     g_pre = g_phi * (1.0 - phi * phi)
     grads["combine.W"] = _weight_grad(g_pre, concat)
@@ -329,13 +287,8 @@ def _backward_batch(params: dict[str, np.ndarray],
     g_H2 = (g_concat[..., H:] + alpha.transpose(0, 2, 1) @ g_a
             + g_scores.transpose(0, 2, 1) @ q + g_q @ params["attn.W"])
 
-    g_e_all = np.empty((B, L, cache["e_all"].shape[2]))
-    gh2 = gc2 = gh1 = gc1 = zero
-    for s in reversed(range(L)):
-        gx, gh2, gc2 = cell_backward("enc2", cache["enc2"][s],
-                                     g_H2[:, s] + gh2, gc2)
-        g_e_all[:, s], gh1, gc1 = cell_backward("enc1", cache["enc1"][s],
-                                                gx + gh1, gc1)
+    g_H1 = _lstm_backward(params, grads, "enc2", cache["enc2"], g_H2)
+    g_e_all = _lstm_backward(params, grads, "enc1", cache["enc1"], g_H1)
     grads["embed.W"] = _weight_grad(g_e_all, windows)
     grads["embed.b"] = g_e_all.sum(axis=(0, 1))
     return grads
@@ -351,8 +304,7 @@ def predict_last_batch(model: PredictorModel, windows: np.ndarray,
     windows = np.asarray(windows, dtype=np.float64)
     out = np.empty((len(windows), model.k))
     for lo in range(0, len(windows), batch_size):
-        preds, _ = _forward_batch(model.params, model.cells,
-                                  windows[lo: lo + batch_size],
+        preds, _ = _forward_batch(model.params, windows[lo: lo + batch_size],
                                   want_cache=False)
         out[lo: lo + len(preds)] = preds[:, -1]
     _check_finite("predictions", out)
@@ -360,21 +312,15 @@ def predict_last_batch(model: PredictorModel, windows: np.ndarray,
 
 
 def loss_and_grads(params: dict[str, np.ndarray], windows: np.ndarray,
-                   targets: np.ndarray, loss_mode: str = "last",
-                   cells: dict[str, LstmCellParams] | None = None
+                   targets: np.ndarray, loss_mode: str = "last"
                    ) -> tuple[float, dict[str, np.ndarray]]:
     """Batch loss and parameter gradients.
 
     "last": MSE between each window's final prediction and its target.
     "all": every step s additionally predicts input row s+1; the final
     step still predicts the target.
-
-    `cells` are the LSTM cell parameters over `params` (see `train`);
-    they are built from `params` when not given.
     """
-    if cells is None:
-        cells = _lstm_cells(params)
-    preds, cache = _forward_batch(params, cells, windows, want_cache=True)
+    preds, cache = _forward_batch(params, windows, want_cache=True)
     B, L, k = preds.shape
     if loss_mode == "last":
         loss, g_last = mse_loss(preds[:, -1], targets)
@@ -383,7 +329,7 @@ def loss_and_grads(params: dict[str, np.ndarray], windows: np.ndarray,
     else:
         full_targets = np.concatenate([windows[:, 1:], targets[:, None]], axis=1)
         loss, g_preds = mse_loss(preds, full_targets)
-    return loss, _backward_batch(params, cells, cache, g_preds)
+    return loss, _backward_batch(params, cache, g_preds)
 
 
 # --------------------------------------------------------------------------
@@ -402,12 +348,12 @@ class TrainHistory:
             raise ValueError("best_epoch must hold the minimum val loss")
 
 
-def _epoch_loss(params: dict, cells: dict, X: np.ndarray, Y: np.ndarray,
+def _epoch_loss(params: dict, X: np.ndarray, Y: np.ndarray,
                 batch_size: int) -> float:
     """Mean squared last-step error over a whole window set."""
     total = 0.0
     for lo in range(0, len(X), batch_size):
-        preds, _ = _forward_batch(params, cells, X[lo: lo + batch_size],
+        preds, _ = _forward_batch(params, X[lo: lo + batch_size],
                                   want_cache=False)
         d = preds[:, -1] - Y[lo: lo + batch_size]
         total += float(np.sum(d * d))
@@ -431,8 +377,6 @@ def train(model: PredictorModel, train_trace: Trace, val_trace: Trace,
     X_tr, Y_tr = window_arrays(train_trace, L)
     X_va, Y_va = window_arrays(val_trace, L)
     params = {name: p.copy() for name, p in model.params.items()}
-    # Adam updates params in place, so cells built once stay current
-    cells = _lstm_cells(params)
     opt = AdamState(lr=hyper.learning_rate)
     best_val = np.inf
     best_epoch = -1
@@ -446,14 +390,13 @@ def train(model: PredictorModel, train_trace: Trace, val_trace: Trace,
         for bi, lo in enumerate(range(0, len(X_tr), hyper.batch_size)):
             xb = X_tr[lo: lo + hyper.batch_size]
             yb = Y_tr[lo: lo + hyper.batch_size]
-            loss, grads = loss_and_grads(params, xb, yb, hyper.loss_mode,
-                                         cells)
+            loss, grads = loss_and_grads(params, xb, yb, hyper.loss_mode)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, bi)
             se_sum += loss * yb.size
             adam_step(opt, params, grads)
         train_hist.append(se_sum / Y_tr.size)
-        val = _epoch_loss(params, cells, X_va, Y_va, hyper.batch_size)
+        val = _epoch_loss(params, X_va, Y_va, hyper.batch_size)
         if not np.isfinite(val):
             raise TrainingDiverged(epoch, -1)
         val_hist.append(val)
@@ -518,11 +461,6 @@ def load_model_file(path, expected_k: int | None = None
             f"{path}: model is for k={k}, expected k={expected_k}")
     hyper = PredictorHyper(**meta["hyper"])
     return PredictorModel(k=k, hyper=hyper, params=blocks), meta
-
-
-def load_model(path, expected_k: int | None = None) -> PredictorModel:
-    model, _ = load_model_file(path, expected_k)
-    return model
 
 
 def parameter_count_note(model: PredictorModel) -> str:

@@ -108,20 +108,6 @@ class ScalingParams:
         out[..., ok] = (values[..., ok] - self.mins[ok]) / span[ok]
         return out
 
-    def invert(self, scaled: np.ndarray) -> np.ndarray:
-        """Map scaled values back to raw space (degenerate signals -> min)."""
-        scaled = np.asarray(scaled, dtype=np.float64)
-        if scaled.shape[-1] != self.signal_count:
-            raise ValueError(
-                f"expected {self.signal_count} signals, got {scaled.shape[-1]}"
-            )
-        span = self.maxs - self.mins
-        out = np.empty_like(scaled)
-        out[...] = self.mins
-        ok = span > 0
-        out[..., ok] = scaled[..., ok] * span[ok] + self.mins[ok]
-        return out
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -325,15 +311,6 @@ def apply_scaling(trace: Trace, params: ScalingParams) -> Trace:
             f"trace has {trace.schema.signal_count}"
         )
     return trace.replace_data(signals=params.apply(trace.signals), scaling=params)
-
-
-def invert_scaling(trace: Trace) -> Trace:
-    """Undo the scaling recorded on the trace."""
-    if trace.scaling is None:
-        raise ValueError("trace carries no scaling params")
-    return trace.replace_data(
-        signals=trace.scaling.invert(trace.signals), scaling=None
-    )
 
 
 def split_train_val(trace: Trace, ratio: float) -> tuple[Trace, Trace]:

@@ -234,3 +234,70 @@ def persistence_mse(windows: np.ndarray, targets: np.ndarray) -> float:
     """MSE of the no-model predictor 'next value = current value'."""
     diff = targets - windows[:, -1, :]
     return float(np.mean(diff * diff))
+
+
+# --------------------------------------------------------------------------
+# LSTM cell, one step at a time
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function as a boolean-mask split into the two
+    overflow-free forms."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def lstm_cell_forward(W_x: np.ndarray, W_h: np.ndarray, b: np.ndarray,
+                      x: np.ndarray, h_prev: np.ndarray,
+                      c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """One step in the per-step form canids.nn used before its layer
+    functions: i,f,o sigmoid gates, g tanh candidate, c = f*c_prev + i*g,
+    h = o*tanh(c). Returns (h, c, cache). The layer functions must match a
+    step-by-step run of it bit for bit."""
+    H = W_h.shape[1]
+    if x.shape[-1] != W_x.shape[1]:
+        raise ValueError(f"input width {x.shape[-1]}, cell expects {W_x.shape[1]}")
+    if h_prev.shape[-1] != H or c_prev.shape[-1] != H:
+        raise ValueError("state width does not match hidden_dim")
+    z = x @ W_x.T + h_prev @ W_h.T + b
+    gates = masked_sigmoid(z)
+    i = gates[..., 0:H]
+    f = gates[..., H: 2 * H]
+    g = np.tanh(z[..., 2 * H: 3 * H])
+    o = gates[..., 3 * H: 4 * H]
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, (x, h_prev, c_prev, i, f, g, o, tc)
+
+
+def lstm_cell_backward(W_x: np.ndarray, W_h: np.ndarray, cache: tuple,
+                       g_h: np.ndarray, g_c: np.ndarray) -> tuple:
+    """Backward of one batched (B, d) step of `lstm_cell_forward`.
+
+    g_h, g_c: upstream gradients on this step's h and c. Returns
+    (g_x, g_h_prev, g_c_prev, gW_x, gW_h, gb).
+    """
+    x, h_prev, c_prev, i, f, g, o, tc = cache
+    d_o = g_h * tc
+    g_c_tot = g_c + g_h * o * (1.0 - tc * tc)
+    d_f = g_c_tot * c_prev
+    d_i = g_c_tot * g
+    d_g = g_c_tot * i
+    g_c_prev = g_c_tot * f
+    dz = np.concatenate([
+        d_i * i * (1.0 - i),
+        d_f * f * (1.0 - f),
+        d_g * (1.0 - g * g),
+        d_o * o * (1.0 - o),
+    ], axis=-1)
+    gW_x = dz.T @ x
+    gW_h = dz.T @ h_prev
+    gb = dz.sum(axis=0)
+    g_x = dz @ W_x
+    g_h_prev = dz @ W_h
+    return g_x, g_h_prev, g_c_prev, gW_x, gW_h, gb

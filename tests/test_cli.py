@@ -255,6 +255,32 @@ class TestExitCodes:
                    "--out", str(tmp_path / "d.det")])
         assert rc == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("mutate", [
+        lambda h: [h],
+        lambda h: {**h, "meta": [h["meta"]]},
+        lambda h: {**h, "blocks": [{"shape": d["shape"]} for d in h["blocks"]]},
+    ], ids=["header-list", "meta-list", "block-without-name"])
+    def test_malformed_model_header_is_validation(self, ws, tmp_path, capsys,
+                                                  mutate):
+        raw = ws["model"].read_bytes()
+        header_len = int(np.frombuffer(raw, dtype="<u8", count=1,
+                                       offset=12)[0])
+        header = json.loads(raw[20:20 + header_len])
+        text = json.dumps(mutate(header)).encode()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(raw[:12] + np.array(len(text), dtype="<u8").tobytes()
+                        + text + raw[20 + header_len:])
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        rc = main(["detect", "--trace", str(ws["attacked"]),
+                   "--model", str(bad), "--detector", str(ws["det_diff"]),
+                   "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("canids: ") and err.count("\n") == 1
+        assert str(bad) in err
+        assert not out.exists()
+
     def test_detector_file_unfit_for_its_variant_is_validation(self, ws,
                                                               tmp_path):
         # the 2-dim Diff SVM relabelled Sum, which needs a 1-dim detector

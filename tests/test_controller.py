@@ -66,6 +66,30 @@ class TestRateCheck:
         assert rate_check(st, 1.015) == "ok"
         assert st.last_timestamp == 1.015
 
+    def test_nan_stamp_is_too_fast_and_anchor_stays(self):
+        # a NaN gap fails every comparison; the frame 0.1 ms after the
+        # last finite one must still read as a flood frame
+        st = RateCheckerState(expected_period_ms=15.0)
+        verdicts = [rate_check(st, t) for t in (0.0, 0.015, np.nan, 0.0151)]
+        assert verdicts == ["ok", "ok", "too_fast", "too_fast"]
+        assert st.last_timestamp == 0.0151
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_stamp_is_too_fast_and_anchor_stays(self, bad):
+        # an infinite anchor would make every later frame too_fast
+        st = RateCheckerState(expected_period_ms=15.0)
+        verdicts = [rate_check(st, t) for t in (0.0, 0.015, bad, 0.030)]
+        assert verdicts == ["ok", "ok", "too_fast", "ok"]
+        assert st.last_timestamp == 0.030
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_first_stamp_leaves_anchor_unset(self, bad):
+        st = RateCheckerState(expected_period_ms=15.0)
+        assert rate_check(st, bad) == "too_fast"
+        assert st.last_timestamp is None
+        assert rate_check(st, 5.0) == "ok"
+        assert st.last_timestamp == 5.0
+
     def test_backward_jump_is_a_rate_drop_in_the_gateway(self):
         k = 2
         model = build_model(k=k, hyper=HYPER, seed=0)
@@ -299,6 +323,9 @@ class TestNonFinitePayloads:
            frames=hs.lists(hs.tuples(
                hs.sampled_from([0.001, 0.015, 0.015, 0.015, 0.04, -0.03]),
                hs.one_of(hs.none(), hs.sampled_from(
+                   [np.nan, np.inf, -np.inf])),
+               # a stamp override, None (keep the running time) 2 times in 3
+               hs.one_of(hs.none(), hs.none(), hs.sampled_from(
                    [np.nan, np.inf, -np.inf]))), max_size=30),
            bad_signal=hs.integers(0, 2),
            threshold=hs.sampled_from([1e-9, 100.0]),
@@ -311,12 +338,12 @@ class TestNonFinitePayloads:
         model = build_model(k=k, hyper=hyper, seed=L)
         rng = np.random.default_rng(k * 100 + len(frames))
         stream, t = [], 0.0
-        for gap, bad in frames:
+        for gap, bad, bad_stamp in frames:
             t += gap
             payload = rng.uniform(size=k)
             if bad is not None:
                 payload[bad_signal % k] = bad
-            stream.append((t, payload))
+            stream.append((t if bad_stamp is None else bad_stamp, payload))
         out, pushed = _run_recording(
             stream, model, StaticThreshold(threshold=threshold), "ST",
             _unit_scaling(k), 15.0,
@@ -324,11 +351,19 @@ class TestNonFinitePayloads:
         assert [d.index for d in out] == list(range(len(stream)))
         assert all(d.disposition in DISPOSITIONS for d in out)
         assert all(np.isfinite(v).all() for v in pushed)
+        # a non-finite stamp is a rate drop and leaves the anchor alone:
+        # the finite-stamped frames get the verdicts of a stream without it
+        finite_only = RateCheckerState(expected_period_ms=15.0)
         latest = -np.inf
         for d, (t, payload) in zip(out, stream):
             if not np.isfinite(payload).all():
                 assert d.disposition != "Delivered"
                 assert d.score is None
+            if not np.isfinite(t):
+                assert d.disposition == "DroppedRateViolation"
+                assert d.rate_flag == "too_fast"
+                continue
+            assert d.rate_flag == rate_check(finite_only, t)
             if t < latest:
                 assert d.disposition == "DroppedRateViolation"
             latest = max(latest, t)

@@ -12,7 +12,6 @@ from canids.detector import (
     anomaly_flags,
     check_pairing,
     decision_values,
-    deviation,
     deviation_matrix,
     deviations,
     fit_ocsvm,
@@ -29,20 +28,21 @@ from oracles import qp_ocsvm_oracle, rbf_oracle
 
 class TestDeviation:
     def test_diff_is_signed(self):
-        out = deviation(np.array([0.5, 0.2]), np.array([0.3, 0.4]), "Diff")
-        assert np.allclose(out, [0.2, -0.2])
+        out = deviation_matrix(np.array([[0.5, 0.2]]), np.array([[0.3, 0.4]]),
+                               "Diff")
+        assert np.allclose(out, [[0.2, -0.2]])
 
     def test_scalar_reductions_use_absolute_values(self):
-        pred = np.array([0.5, 0.2])
-        actual = np.array([0.3, 0.4])
-        assert deviation(pred, actual, "Sum") == pytest.approx(0.4)
-        assert deviation(pred, actual, "Avg") == pytest.approx(0.2)
-        assert deviation(pred, actual, "Max") == pytest.approx(0.2)
+        pred = np.array([[0.5, 0.2]])
+        actual = np.array([[0.3, 0.4]])
+        assert deviation_matrix(pred, actual, "Sum")[0, 0] == pytest.approx(0.4)
+        assert deviation_matrix(pred, actual, "Avg")[0, 0] == pytest.approx(0.2)
+        assert deviation_matrix(pred, actual, "Max")[0, 0] == pytest.approx(0.2)
 
     def test_max_picks_the_dominant_signal(self):
-        out = deviation(np.array([1.0, 0.0, 0.0]),
-                        np.array([0.0, 0.1, -0.1]), "Max")
-        assert out == pytest.approx(1.0)
+        out = deviation_matrix(np.array([[1.0, 0.0, 0.0]]),
+                               np.array([[0.0, 0.1, -0.1]]), "Max")
+        assert out[0, 0] == pytest.approx(1.0)
 
     def test_matrix_shapes(self):
         rng = np.random.default_rng(0)
@@ -53,24 +53,32 @@ class TestDeviation:
             assert deviation_matrix(P, A, mode).shape == (6, 1)
 
     def test_matrix_rows_agree_with_single_calls(self):
+        # each row is that message's own deviation: the same as a
+        # one-message call and as the per-row definition
         rng = np.random.default_rng(1)
         P = rng.normal(size=(4, 2))
         A = rng.normal(size=(4, 2))
+        reduce = {"Sum": np.sum, "Avg": np.mean, "Max": np.max}
         for mode in ("Diff", "Sum", "Avg", "Max"):
             M = deviation_matrix(P, A, mode)
             for i in range(4):
-                single = deviation(P[i], A[i], mode)
-                assert np.allclose(M[i], single)
+                single = deviation_matrix(P[i: i + 1], A[i: i + 1], mode)
+                assert np.array_equal(M[i: i + 1], single)
+                want = (P[i] - A[i] if mode == "Diff"
+                        else reduce[mode](np.abs(P[i] - A[i])))
+                assert np.allclose(M[i], want)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            deviation(np.zeros(2), np.zeros(2), "Median")
+            deviation_matrix(np.zeros((1, 2)), np.zeros((1, 2)), "Median")
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            deviation(np.zeros(2), np.zeros(3), "Diff")
+            deviation_matrix(np.zeros((1, 2)), np.zeros((1, 3)), "Diff")
         with pytest.raises(ValueError):
             deviation_matrix(np.zeros((2, 2)), np.zeros((3, 2)), "Diff")
+        with pytest.raises(ValueError):
+            deviation_matrix(np.zeros(2), np.zeros(2), "Diff")
 
 
 class TestRbfKernel:

@@ -1,9 +1,14 @@
 """Binary model container: round-trips and corruption handling."""
 
+import functools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from canids.model_io import FORMAT_VERSION, MAGIC, load_arrays, save_arrays
 
@@ -123,6 +128,92 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_arrays(tmp_path / "absent.bin")
+
+
+def _container(header, payload: bytes = b"") -> bytes:
+    """A container around an arbitrary JSON header."""
+    text = json.dumps(header).encode("utf-8")
+    return (MAGIC + np.array(FORMAT_VERSION, dtype="<u4").tobytes()
+            + np.array(len(text), dtype="<u8").tobytes() + text + payload)
+
+
+_GOOD = {"model_type": "predictor", "meta": {"k": 1},
+         "blocks": [{"name": "w", "shape": [2]}]}
+
+
+class TestHeaderSchema:
+    def test_well_formed_header_loads(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(_container(_GOOD, np.arange(2.0).tobytes()))
+        meta, blocks = load_arrays(path)
+        assert meta == {"k": 1}
+        assert np.array_equal(blocks["w"], [0.0, 1.0])
+
+    @pytest.mark.parametrize("header, match", [
+        ([1, 2], "header is not a JSON object"),
+        ("predictor", "header is not a JSON object"),
+        ({**_GOOD, "meta": [1]}, "meta is not a JSON object"),
+        ({"model_type": "predictor", "blocks": []},
+         "meta is not a JSON object"),
+        ({**_GOOD, "blocks": {"w": [2]}}, "blocks is not a JSON list"),
+        ({"model_type": "predictor", "meta": {}}, "blocks is not a JSON list"),
+        ({**_GOOD, "blocks": [{"shape": [2]}]}, "malformed block descriptor"),
+        ({**_GOOD, "blocks": [{"name": 3, "shape": [2]}]},
+         "malformed block descriptor"),
+        ({**_GOOD, "blocks": [{"name": "w"}]}, "malformed block descriptor"),
+        ({**_GOOD, "blocks": [{"name": "w", "shape": 2}]},
+         "malformed block descriptor"),
+        ({**_GOOD, "blocks": [{"name": "w", "shape": [-2]}]},
+         "malformed block descriptor"),
+        ({**_GOOD, "blocks": [{"name": "w", "shape": [2.0]}]},
+         "malformed block descriptor"),
+        ({**_GOOD, "blocks": [{"name": "w", "shape": [True]}]},
+         "malformed block descriptor"),
+        ({**_GOOD, "blocks": [{"name": "w", "shape": [2], "dtype": "f8"}]},
+         "malformed block descriptor"),
+        ({**_GOOD, "blocks": ["w"]}, "malformed block descriptor"),
+        ({**_GOOD, "blocks": [{"name": "w", "shape": [1]},
+                              {"name": "w", "shape": [1]}]},
+         "duplicate block 'w'"),
+    ])
+    def test_malformed_header_rejected_naming_the_file(self, tmp_path,
+                                                       header, match):
+        path = tmp_path / "m.bin"
+        path.write_bytes(_container(header, np.arange(2.0).tobytes()))
+        with pytest.raises(ValueError, match=match) as exc:
+            load_arrays(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+
+@functools.cache
+def _valid_file() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.bin"
+        save_arrays(path, "predictor", {"k": 2, "hyper": {"a": [1, 2.5]}},
+                    {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3),
+                     "s": np.array(0.5), "e": np.zeros((0, 2))})
+        return path.read_bytes()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(flips=hs.lists(hs.tuples(hs.integers(0, 2**16), hs.integers(0, 255)),
+                      max_size=4),
+       cut=hs.one_of(hs.none(), hs.integers(0, 2**16)))
+def test_corrupted_container_raises_only_value_error(flips, cut):
+    # positions and cuts are taken modulo the file length
+    raw = bytearray(_valid_file())
+    for pos, byte in flips:
+        raw[pos % len(raw)] = byte
+    if cut is not None:
+        raw = raw[: cut % (len(raw) + 1)]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.bin"
+        path.write_bytes(bytes(raw))
+        try:
+            load_arrays(path, expected_type="predictor")
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            assert "\n" not in str(exc)
 
 
 def test_header_is_sorted_json(tmp_path):

@@ -9,102 +9,127 @@ import pytest
 
 from canids.nn import (
     AdamState,
-    LstmCellParams,
     _sigmoid,
     adam_step,
     grad_check,
     init_lstm_cell,
-    lstm_cell_backward,
-    lstm_cell_forward,
+    lstm_layer_backward,
+    lstm_layer_forward,
     mse_loss,
     relative_error,
     softmax,
 )
 
+from oracles import lstm_cell_backward, lstm_cell_forward, masked_sigmoid
+
 
 class TestLstmCell:
     def test_zero_params_give_zero_states(self):
-        p = LstmCellParams(W_x=np.zeros((8, 3)), W_h=np.zeros((8, 2)),
-                           b=np.zeros(8))
-        h, c, _ = lstm_cell_forward(p, np.array([1.0, -2.0, 0.5]),
-                                    np.zeros(2), np.zeros(2))
-        assert np.array_equal(h, np.zeros(2))
-        assert np.array_equal(c, np.zeros(2))
+        X = np.array([[[1.0, -2.0, 0.5], [0.3, 0.0, -1.0]]])
+        Hs, cache = lstm_layer_forward(np.zeros((8, 3)), np.zeros((8, 2)),
+                                       np.zeros(8), X, want_cache=True)
+        assert np.array_equal(Hs, np.zeros((1, 2, 2)))
+        _, _, cs, _, _ = cache
+        assert np.array_equal(cs, np.zeros((3, 1, 2)))
 
     def test_scalar_cell_hand_value(self):
-        # saturate forget and output gates open, input gate closed:
-        # c = c_prev, h = tanh(c_prev)
-        b = np.array([-20.0, 20.0, 0.0, 20.0])  # gate order i, f, g, o
-        p = LstmCellParams(W_x=np.zeros((4, 1)), W_h=np.zeros((4, 1)), b=b)
-        h, c, _ = lstm_cell_forward(p, np.array([0.3]), np.array([0.0]),
-                                    np.array([0.5]))
-        assert abs(c[0] - 0.5) < 1e-4
-        assert abs(h[0] - np.tanh(0.5)) < 1e-4
-        assert abs(h[0] - 0.4621) < 1e-3
+        # step 1 (x = 1): input gate open, candidate tanh(atanh(0.5)), so
+        # c = 0.5; step 2 (x = 0): input gate closed, forget and output
+        # gates open, so c stays 0.5 and h = tanh(0.5)
+        W_x = np.array([[40.0], [0.0], [0.0], [0.0]])  # gate order i, f, g, o
+        b = np.array([-20.0, 20.0, np.arctanh(0.5), 20.0])
+        X = np.array([[[1.0], [0.0]]])
+        Hs, (_, _, cs, _, _) = lstm_layer_forward(W_x, np.zeros((4, 1)), b,
+                                                  X, want_cache=True)
+        assert abs(cs[1, 0, 0] - 0.5) < 1e-4
+        assert abs(cs[2, 0, 0] - 0.5) < 1e-4
+        assert abs(Hs[0, 1, 0] - np.tanh(0.5)) < 1e-4
+        assert abs(Hs[0, 1, 0] - 0.4621) < 1e-3
 
     def test_forget_bias_initialized_to_one(self):
         rng = np.random.default_rng(0)
-        p = init_lstm_cell(rng, hidden_dim=4, input_dim=3)
-        assert np.array_equal(p.b[4:8], np.ones(4))
-        assert np.array_equal(p.b[:4], np.zeros(4))
-        assert np.array_equal(p.b[8:], np.zeros(8))
+        _, _, b = init_lstm_cell(rng, hidden_dim=4, input_dim=3)
+        assert np.array_equal(b[4:8], np.ones(4))
+        assert np.array_equal(b[:4], np.zeros(4))
+        assert np.array_equal(b[8:], np.zeros(8))
 
     def test_rollout_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         H, D, T = 3, 2, 3
-        p = init_lstm_cell(rng, H, D)
-        # a batch of one: (T, 1, D) inputs, (1, H) states
-        xs = rng.normal(size=(T, 1, D))
+        W_x, W_h, b = init_lstm_cell(rng, H, D)
+        # a batch of one (1, T, D); the loss reads the last hidden state
+        xs = rng.normal(size=(1, T, D))
         target = rng.normal(size=(1, H))
 
         def fn(params):
-            cell = LstmCellParams(W_x=params["W_x"], W_h=params["W_h"],
-                                  b=params["b"])
-            h = np.zeros((1, H))
-            c = np.zeros((1, H))
-            caches = []
-            for t in range(T):
-                h, c, cache = lstm_cell_forward(cell, xs[t], h, c)
-                caches.append(cache)
-            loss, g_h = mse_loss(h, target)
-            g_c = np.zeros((1, H))
-            gWx = np.zeros_like(params["W_x"])
-            gWh = np.zeros_like(params["W_h"])
-            gb = np.zeros_like(params["b"])
-            for t in reversed(range(T)):
-                _, g_h, g_c, dWx, dWh, db = lstm_cell_backward(
-                    cell, caches[t], g_h, g_c)
-                gWx += dWx
-                gWh += dWh
-                gb += db
-            return loss, {"W_x": gWx, "W_h": gWh, "b": gb}
+            Hs, cache = lstm_layer_forward(params["W_x"], params["W_h"],
+                                           params["b"], params["X"], True)
+            loss, g_last = mse_loss(Hs[:, -1], target)
+            g_H = np.zeros_like(Hs)
+            g_H[:, -1] = g_last
+            g_X, gWx, gWh, gb = lstm_layer_backward(params["W_x"],
+                                                    params["W_h"], cache, g_H)
+            return loss, {"W_x": gWx, "W_h": gWh, "b": gb, "X": g_X}
 
-        errs = grad_check(fn, {"W_x": p.W_x.copy(), "W_h": p.W_h.copy(),
-                               "b": p.b.copy()})
+        errs = grad_check(fn, {"W_x": W_x, "W_h": W_h, "b": b, "X": xs})
         assert max(errs.values()) < 1e-4
 
     def test_batched_step_equals_per_row(self):
+        # a batch of windows gives each window's own run of the layer
         rng = np.random.default_rng(3)
-        p = init_lstm_cell(rng, 4, 3)
-        X = rng.normal(size=(6, 3))
-        Hs = rng.normal(size=(6, 4))
-        Cs = rng.normal(size=(6, 4))
-        hb, cb, _ = lstm_cell_forward(p, X, Hs, Cs)
+        W_x, W_h, b = init_lstm_cell(rng, 4, 3)
+        X = rng.normal(size=(6, 5, 3))
+        Hb, _ = lstm_layer_forward(W_x, W_h, b, X, want_cache=False)
         for i in range(6):
-            h1, c1, _ = lstm_cell_forward(p, X[i], Hs[i], Cs[i])
-            assert np.allclose(hb[i], h1, atol=1e-12)
-            assert np.allclose(cb[i], c1, atol=1e-12)
+            H1, _ = lstm_layer_forward(W_x, W_h, b, X[i: i + 1], False)
+            # BLAS may sum in a different order for different batch shapes
+            assert np.allclose(Hb[i], H1[0], rtol=0, atol=1e-12)
 
 
-def _masked_sigmoid(z: np.ndarray) -> np.ndarray:
-    """The reference logistic function: a boolean-mask split into the two
-    overflow-free forms."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _oracle_rollout(W_x, W_h, b, X, g_H):
+    """A step-by-step run of the per-step cell oracle: hidden states, then
+    (g_X, gW_x, gW_h, gb) with the weight gradients accumulated over
+    steps last to first."""
+    B, L, _ = X.shape
+    H = W_h.shape[1]
+    h = c = np.zeros((B, H))
+    Hs = np.empty((B, L, H))
+    caches = []
+    for s in range(L):
+        h, c, cache = lstm_cell_forward(W_x, W_h, b, X[:, s], h, c)
+        Hs[:, s] = h
+        caches.append(cache)
+    g_X = np.empty(X.shape)
+    gW_x, gW_h, gb = np.zeros_like(W_x), np.zeros_like(W_h), np.zeros_like(b)
+    g_h = g_c = np.zeros((B, H))
+    for s in reversed(range(L)):
+        g_X[:, s], g_h, g_c, dWx, dWh, db = lstm_cell_backward(
+            W_x, W_h, caches[s], g_H[:, s] + g_h, g_c)
+        gW_x += dWx
+        gW_h += dWh
+        gb += db
+    return Hs, (g_X, gW_x, gW_h, gb)
+
+
+@pytest.mark.parametrize("B, L, D, H", [(1, 8, 3, 16), (7, 5, 16, 4),
+                                        (256, 4, 6, 8), (3, 1, 2, 2)])
+def test_layer_bit_identical_to_step_by_step_cell_oracle(B, L, D, H):
+    rng = np.random.default_rng(B * 100 + L)
+    W_x, W_h, b = init_lstm_cell(rng, H, D)
+    b += rng.normal(size=b.shape)
+    X = rng.normal(scale=2.0, size=(B, L, D))
+    g_H = rng.normal(size=(B, L, H))
+    ref_H, ref_grads = _oracle_rollout(W_x, W_h, b, X, g_H)
+
+    Hs_plain, _ = lstm_layer_forward(W_x, W_h, b, X, want_cache=False)
+    Hs, cache = lstm_layer_forward(W_x, W_h, b, X, want_cache=True)
+    assert np.array_equal(Hs_plain, ref_H)
+    assert np.array_equal(Hs, ref_H)
+    grads = lstm_layer_backward(W_x, W_h, cache, g_H)
+    for name, got, want in zip(("g_X", "gW_x", "gW_h", "gb"), grads,
+                               ref_grads):
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -116,12 +141,12 @@ class TestSigmoid:
         mags = np.logspace(-3, np.log10(50.0), 401)
         z = np.concatenate([[0.0, -0.0, 745.0, -745.0, 800.0, -800.0],
                             mags, -mags])
-        assert np.array_equal(_bits(_sigmoid(z)), _bits(_masked_sigmoid(z)))
+        assert np.array_equal(_bits(_sigmoid(z)), _bits(masked_sigmoid(z)))
 
     @pytest.mark.parametrize("shape", [(1, 64), (256, 256)])
     def test_blocks_bit_identical_to_reference(self, shape):
         z = np.random.default_rng(4).normal(scale=6.0, size=shape)
-        assert np.array_equal(_bits(_sigmoid(z)), _bits(_masked_sigmoid(z)))
+        assert np.array_equal(_bits(_sigmoid(z)), _bits(masked_sigmoid(z)))
 
     def test_saturates_without_overflow(self):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -131,18 +156,20 @@ class TestSigmoid:
 
 def test_cell_gates_bit_identical_to_per_gate_reference():
     # the fused gate pass must reproduce separate sigmoid calls on the
-    # i, f and o slices exactly
+    # i, f and o slices exactly, at every step of a layer
     rng = np.random.default_rng(6)
-    H = 5
-    p = init_lstm_cell(rng, H, 3)
-    x, h0, c0 = (rng.normal(scale=3.0, size=(7, d)) for d in (3, H, H))
-    h, c, _ = lstm_cell_forward(p, x, h0, c0)
-    z = x @ p.W_x.T + h0 @ p.W_h.T + p.b
-    i, f, o = (_masked_sigmoid(z[:, a * H: (a + 1) * H]) for a in (0, 1, 3))
-    c_ref = f * c0 + i * np.tanh(z[:, 2 * H: 3 * H])
-    h_ref = o * np.tanh(c_ref)
-    assert np.array_equal(_bits(c), _bits(c_ref))
-    assert np.array_equal(_bits(h), _bits(h_ref))
+    H, L = 5, 3
+    W_x, W_h, b = init_lstm_cell(rng, H, 3)
+    X = rng.normal(scale=3.0, size=(7, L, 3))
+    Hs, (_, _, cs, _, _) = lstm_layer_forward(W_x, W_h, b, X, True)
+    h = c = np.zeros((7, H))
+    for s in range(L):
+        z = X[:, s] @ W_x.T + h @ W_h.T + b
+        i, f, o = (masked_sigmoid(z[:, a * H: (a + 1) * H]) for a in (0, 1, 3))
+        c = f * c + i * np.tanh(z[:, 2 * H: 3 * H])
+        h = o * np.tanh(c)
+        assert np.array_equal(_bits(cs[s + 1]), _bits(c))
+        assert np.array_equal(_bits(Hs[:, s]), _bits(h))
 
 
 class TestSoftmax:

@@ -104,7 +104,7 @@ class TestCausality:
         w1 = rng.normal(size=(6, 2))
         w2 = w1.copy()
         w2[3:] += rng.normal(size=(3, 2))  # only rows 3.. differ
-        preds, _ = _forward_batch(m.params, m.cells, np.stack([w1, w2]),
+        preds, _ = _forward_batch(m.params, np.stack([w1, w2]),
                                   want_cache=False)
         p1, p2 = preds
         assert np.array_equal(p1[:3], p2[:3])
@@ -115,7 +115,7 @@ class TestCausality:
         m = build_model(k=k, hyper=PredictorHyper(
             subsequence_length=L, embed_dim=4, hidden_dim=4), seed=seed)
         windows = np.random.default_rng(seed).normal(size=(B, L, k))
-        _, cache = _forward_batch(m.params, m.cells, windows, want_cache=True)
+        _, cache = _forward_batch(m.params, windows, want_cache=True)
         return cache
 
     def test_attention_weights_are_a_distribution(self):

@@ -9,7 +9,6 @@ from canids.traces import (
     Trace,
     apply_scaling,
     fit_and_scale,
-    invert_scaling,
     load_scaling,
     load_trace,
     save_scaling,
@@ -168,12 +167,6 @@ class TestScaling:
         params = ScalingParams(signal_names=("a",), mins=(10.0,), maxs=(30.0,))
         assert params.apply(np.array([35.0]))[0] == pytest.approx(1.25)
         assert params.apply(np.array([0.0]))[0] == pytest.approx(-0.5)
-
-    def test_scale_unscale_identity(self):
-        t = make_trace(n=40, seed=5)
-        scaled, _ = fit_and_scale(t)
-        back = invert_scaling(scaled)
-        assert np.allclose(back.signals, t.signals, rtol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         t = make_trace(k=2)
