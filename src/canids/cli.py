@@ -30,6 +30,7 @@ from .traces import (
     MessageSchema,
     ScalingParams,
     load_trace,
+    read_text,
     save_scaling,
     write_trace,
 )
@@ -159,15 +160,16 @@ def cmd_fit_detector(args) -> int:
     else:
         detcfg = DetectorConfig()
     trace = load_trace(args.trace, schema)
-    devs = pl.deviations_for(model, scaling, trace, args.variant)
+    devs, n_windows = pl.deviations_for(model, scaling, trace, args.variant,
+                                        detcfg)
     d = pl.fit_detector_on(devs, detcfg, args.variant)
     det.save_detector(d, args.variant, args.out)
     if isinstance(d, det.StaticThreshold):
         print(f"fitted static threshold {d.threshold:.6g} "
               f"on {len(devs)} deviations")
     else:
-        print(f"fitted one-class SVM on {min(len(devs), detcfg.max_train_points)}"
-              f" of {len(devs)} deviations: {len(d.support_vectors)} support "
+        print(f"fitted one-class SVM on {len(devs)} of {n_windows} "
+              f"deviations: {len(d.support_vectors)} support "
               f"vectors, rho {d.rho:.6g}, converged {d.converged}")
     print(f"wrote detector to {args.out}")
     return EXIT_OK
@@ -212,7 +214,7 @@ def cmd_eval(args) -> int:
     for path in args.detections:
         if not Path(path).exists():
             raise FileNotFoundError(f"detections file not found: {path}")
-        table = pl.parse_detection_csv(Path(path).read_text(), path=str(path))
+        table = pl.parse_detection_csv(read_text(path), path=str(path))
         if table.message_id != mid:
             raise ValueError(
                 f"{path}: detections are for message {table.message_id:#x}, "

@@ -106,7 +106,10 @@ class OcsvmModel:
         object.__setattr__(self, "alphas", al)
         if sv.ndim != 2 or al.shape != (len(sv),):
             raise ValueError("need one alpha per support vector row")
-        if not 0 < self.nu <= 1 or self.gamma <= 0 or self.n_train < 2:
+        if not (np.isfinite(sv).all() and np.isfinite(al).all()):
+            raise ValueError("support vectors and alphas must be finite")
+        if not (0 < self.nu <= 1 and 0 < self.gamma < np.inf
+                and self.n_train >= 2):
             raise ValueError("invalid nu, gamma, or n_train")
         cap = 1.0 / (self.nu * self.n_train)
         if np.any(al < 0) or np.any(al > cap + 1e-12):
@@ -342,22 +345,31 @@ def save_detector(det: OcsvmModel | StaticThreshold, variant: str,
 
 
 def load_detector(path) -> tuple[OcsvmModel | StaticThreshold, str]:
+    """Load a detector and its variant name. A header that lacks a field,
+    holds a mistyped or invalid one, or names a variant the detector cannot
+    score raises ValueError naming the file."""
     meta, blocks = model_io.load_arrays(path, expected_type="detector")
     if meta.get("version") != _DETECTOR_VERSION:
         raise ValueError(
             f"{path}: detector version {meta.get('version')!r} unsupported")
     kind = meta.get("kind")
-    if kind == "static-threshold":
-        det = StaticThreshold(threshold=float(meta["threshold"]))
-    elif kind == "ocsvm":
-        det = OcsvmModel(
-            support_vectors=blocks["support_vectors"],
-            alphas=blocks["alphas"],
-            rho=float(meta["rho"]), gamma=float(meta["gamma"]),
-            nu=float(meta["nu"]), n_train=int(meta["n_train"]),
-            converged=bool(meta["converged"]), kkt_gap=float(meta["kkt_gap"]))
-    else:
+    if kind not in ("static-threshold", "ocsvm"):
         raise ValueError(f"{path}: unknown detector kind {kind!r}")
+    try:
+        if kind == "static-threshold":
+            det = StaticThreshold(threshold=float(meta["threshold"]))
+        else:
+            det = OcsvmModel(
+                support_vectors=blocks["support_vectors"],
+                alphas=blocks["alphas"],
+                rho=float(meta["rho"]), gamma=float(meta["gamma"]),
+                nu=float(meta["nu"]), n_train=int(meta["n_train"]),
+                converged=bool(meta["converged"]),
+                kkt_gap=float(meta["kkt_gap"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: {kind} detector lacks {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: invalid {kind} detector: {exc}") from None
     variant = meta.get("variant")
     try:
         check_pairing(det, variant)

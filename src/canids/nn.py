@@ -46,9 +46,10 @@ def init_linear(rng: np.random.Generator, d_out: int, d_in: int
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: 1/(1+e^-z) for z >= 0 and
-    e^z/(1+e^z) below, both written with e = e^-|z| <= 1."""
+    e^z/(1+e^z) below, both written with e = e^-|z| <= 1, so the numerator
+    max(e, z >= 0) is 1 or e (and NaN for NaN)."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def init_lstm_cell(rng: np.random.Generator, hidden_dim: int, input_dim: int

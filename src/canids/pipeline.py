@@ -138,12 +138,35 @@ def _subsample(X: np.ndarray, cap: int) -> np.ndarray:
     return X[idx]
 
 
+def _scaled_windows(trace: Trace, scaling: ScalingParams,
+                    length: int) -> tuple[np.ndarray, np.ndarray]:
+    """window_arrays over the scaled trace. A NaN or infinite payload would
+    poison every window it enters, so it stops the pass here, before the
+    forward turns it into NaN with a numpy warning on the way."""
+    scaled = apply_scaling(trace, scaling)
+    bad = ~np.isfinite(scaled.signals).all(axis=1)
+    if bad.any():
+        raise FloatingPointError(
+            f"record {int(np.argmax(bad))} holds a non-finite payload")
+    return window_arrays(scaled, length)
+
+
 def deviations_for(model: pr.PredictorModel, scaling: ScalingParams,
-                   trace: Trace, variant: str) -> np.ndarray:
-    """Deviation rows over a trace's windows, in the variant's geometry."""
-    X, Y = window_arrays(apply_scaling(trace, scaling),
-                         model.hyper.subsequence_length)
-    return det.deviations(model, variant, X, Y)
+                   trace: Trace, variant: str, detcfg: DetectorConfig
+                   ) -> tuple[np.ndarray, int]:
+    """Clean-trace deviation rows to fit the variant's detector on, in the
+    variant's geometry, and the trace's window count.
+
+    ST's percentile threshold reads every window. The SVM variants are fit
+    on at most detcfg.max_train_points rows, so they predict only the
+    windows that _subsample's even stride keeps.
+    """
+    X, Y = _scaled_windows(trace, scaling, model.hyper.subsequence_length)
+    n_windows = len(X)
+    if variant != "ST":
+        keep = _subsample(np.arange(n_windows), detcfg.max_train_points)
+        X, Y = X[keep], Y[keep]
+    return det.deviations(model, variant, X, Y), n_windows
 
 
 def fit_detector_on(devs: np.ndarray, detcfg: DetectorConfig,
@@ -151,7 +174,8 @@ def fit_detector_on(devs: np.ndarray, detcfg: DetectorConfig,
     """Fit a detector on precomputed clean-trace deviations.
 
     The kernel solver is quadratic in its training-set size, so deviations
-    are thinned to detcfg.max_train_points by even striding first.
+    are thinned to detcfg.max_train_points by even striding first; rows
+    from deviations_for are thinned already and pass through unchanged.
     """
     if variant == "ST":
         return det.fit_static_threshold(devs, detcfg.percentile)
@@ -164,7 +188,7 @@ def fit_detector(cfg: ExperimentConfig, model: pr.PredictorModel,
                  scaling: ScalingParams, trace: Trace, variant: str
                  ) -> det.OcsvmModel | det.StaticThreshold:
     """Fit the chosen variant's detector on clean-trace deviations."""
-    devs = deviations_for(model, scaling, trace, variant)
+    devs, _ = deviations_for(model, scaling, trace, variant, cfg.detector)
     return fit_detector_on(devs, cfg.detector, variant)
 
 
@@ -212,7 +236,7 @@ def detect_with(model: pr.PredictorModel, scaling: ScalingParams,
     n = len(trace)
     if n < L + 1:
         raise ValueError(f"trace of length {n} too short for window L={L}")
-    X, Y = window_arrays(apply_scaling(trace, scaling), L)
+    X, Y = _scaled_windows(trace, scaling, L)
     tail_scores, _ = scorer.scores(X, Y)
     scores = np.full(n, np.nan)
     scores[L:] = tail_scores
@@ -248,6 +272,7 @@ def evaluate(table: DetectionTable, specs: list[AttackSpec]) -> mx.AttackReport:
 
 _TABLE_HEADER = ("timestamp,label,score,ml_flag,rate_fast,rate_slow,"
                  "final_flag")
+_BITS = frozenset(("0", "1"))
 
 
 def detection_csv(table: DetectionTable, provenance: dict | None = None) -> str:
@@ -266,9 +291,14 @@ def detection_csv(table: DetectionTable, provenance: dict | None = None) -> str:
 
 
 def parse_detection_csv(text: str, path: str = "<detections>") -> DetectionTable:
+    """Read a detection table back. A malformed provenance value, header or
+    row, or a label or flag other than 0 and 1, raises ValueError naming
+    path:line."""
     message_id = None
     variant = None
     eval_from = None
+    stamps: list[float] = []
+    scores: list[float] = []
     rows = []
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -280,12 +310,16 @@ def parse_detection_csv(text: str, path: str = "<detections>") -> DetectionTable
             for key in ("message_id", "variant", "eval_from"):
                 if body.startswith(f"{key}:"):
                     value = body.split(":", 1)[1].strip()
-                    if key == "message_id":
-                        message_id = int(value, 0)
-                    elif key == "variant":
-                        variant = value
-                    else:
-                        eval_from = int(value)
+                    try:
+                        if key == "message_id":
+                            message_id = int(value, 0)
+                        elif key == "variant":
+                            variant = value
+                        else:
+                            eval_from = int(value)
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: malformed {key} "
+                                         f"{value!r}") from None
             continue
         if not header_seen:
             if line != _TABLE_HEADER:
@@ -295,21 +329,29 @@ def parse_detection_csv(text: str, path: str = "<detections>") -> DetectionTable
         fields = line.split(",")
         if len(fields) != 7:
             raise ValueError(f"{path}:{lineno}: expected 7 columns")
+        if fields[1] not in _BITS or not _BITS.issuperset(fields[3:]):
+            raise ValueError(
+                f"{path}:{lineno}: label and flags must be 0 or 1")
+        try:
+            stamps.append(float(fields[0]))
+            scores.append(float(fields[2]) if fields[2] else np.nan)
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}:{lineno}: malformed row: {exc}") from None
         rows.append(fields)
     if message_id is None or variant is None or eval_from is None:
         raise ValueError(
             f"{path}: missing message_id/variant/eval_from provenance")
     if not rows:
         raise ValueError(f"{path}: no records")
-    ts = np.array([float(r[0]) for r in rows])
-    labels = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    scores = np.array([float(r[2]) if r[2] else np.nan for r in rows])
-    cols = [np.array([int(r[i]) for r in rows], dtype=np.int64)
-            for i in (3, 4, 5, 6)]
+    labels, ml, fast, slow, final = (
+        np.array([r[i] == "1" for r in rows], dtype=np.int64)
+        for i in (1, 3, 4, 5, 6))
     return DetectionTable(message_id=message_id, variant=variant,
-                          eval_from=eval_from, timestamps=ts, labels=labels,
-                          scores=scores, ml_flag=cols[0], rate_fast=cols[1],
-                          rate_slow=cols[2], final_flag=cols[3])
+                          eval_from=eval_from, timestamps=np.array(stamps),
+                          labels=labels, scores=np.array(scores),
+                          ml_flag=ml, rate_fast=fast, rate_slow=slow,
+                          final_flag=final)
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ gradient checker in `nn` is the authority on its correctness.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -450,17 +450,48 @@ def save_model(model: PredictorModel, path,
 
 def load_model_file(path, expected_k: int | None = None
                     ) -> tuple[PredictorModel, dict]:
-    """Load a model plus its full header metadata."""
+    """Load a model plus its full header metadata.
+
+    A header whose k or hyper block is missing, mistyped or does not fit
+    the stored blocks raises ValueError naming the file.
+    """
     meta, blocks = model_io.load_arrays(path, expected_type="predictor")
     if meta.get("version") != MODEL_VERSION:
         raise ValueError(
             f"{path}: predictor version {meta.get('version')!r} unsupported")
-    k = int(meta["k"])
+    try:
+        k = meta["k"]
+        if type(k) is not int:
+            raise TypeError(f"k must be an integer, got {k!r}")
+        model = PredictorModel(k=k, hyper=_hyper_from_meta(meta["hyper"]),
+                               params=blocks)
+    except KeyError as exc:
+        raise ValueError(f"{path}: predictor metadata lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{path}: invalid predictor metadata: {exc}") from None
     if expected_k is not None and k != expected_k:
         raise ValueError(
             f"{path}: model is for k={k}, expected k={expected_k}")
-    hyper = PredictorHyper(**meta["hyper"])
-    return PredictorModel(k=k, hyper=hyper, params=blocks), meta
+    return model, meta
+
+
+def _hyper_from_meta(d) -> PredictorHyper:
+    """The header's hyper block: every PredictorHyper field, no other key,
+    each value of its field's type (an integer also serves as a float)."""
+    if not isinstance(d, dict):
+        raise TypeError("hyper is not an object")
+    defaults = PredictorHyper()
+    names = {f.name for f in fields(PredictorHyper)}
+    if set(d) != names:
+        raise ValueError(f"hyper keys {sorted(d)} differ from {sorted(names)}")
+    for name, value in d.items():
+        want = type(getattr(defaults, name))
+        if type(value) is not want and not (want is float
+                                            and type(value) is int):
+            raise TypeError(f"hyper {name} must be a {want.__name__}, "
+                            f"got {value!r}")
+    return PredictorHyper(**d)
 
 
 def parameter_count_note(model: PredictorModel) -> str:

@@ -191,12 +191,23 @@ def write_trace(trace: Trace, path: str | Path, provenance: dict | None = None) 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_text(path: str | Path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise ValueError
+    naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+
+
 def load_trace(path: str | Path, schema: MessageSchema) -> Trace:
     """Parse a trace CSV, validating it against the schema.
 
-    Rows are rejected (with an error) on: wrong column count, non-numeric
-    values, a message_id not matching the schema, a signal count not equal
-    to the schema's, labels outside {0, 1}, or decreasing timestamps.
+    Rows are rejected (with an error naming path:line) on: wrong column
+    count, non-numeric values, a message_id not matching the schema, a
+    signal count not equal to the schema's, labels outside {0, 1}, a NaN
+    or infinite timestamp, or decreasing timestamps.
     """
     path = Path(path)
     if not path.exists():
@@ -207,7 +218,7 @@ def load_trace(path: str | Path, schema: MessageSchema) -> Trace:
     signals: list[list[float]] = []
     labels: list[int] = []
     header_seen = False
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -240,6 +251,8 @@ def load_trace(path: str | Path, schema: MessageSchema) -> Trace:
             raise ValueError(f"{path}:{lineno}: k={row_k} does not match schema k={k}")
         if label not in (0, 1):
             raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
+        if not math.isfinite(ts):
+            raise ValueError(f"{path}:{lineno}: timestamp {ts} is not finite")
         if timestamps and ts < timestamps[-1]:
             raise ValueError(f"{path}:{lineno}: timestamps must be non-decreasing")
         timestamps.append(ts)

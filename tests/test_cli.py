@@ -1,18 +1,23 @@
 """Command-line pipeline: every subcommand end to end, plus exit codes."""
 
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
 from canids import model_io
 from canids.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from canids.config import load_config
 from canids.detector import load_detector
 from canids.pipeline import parse_detection_csv
 from canids.predictor import load_model_file
 from canids.tracegen import load_manifest
-from canids.traces import load_scaling
+from canids.traces import load_scaling, load_trace
 
 
 def _config_doc():
@@ -37,16 +42,35 @@ def _config_doc():
     }
 
 
-def _with_nan_cell(src: Path, dst: Path, row: int = 40) -> Path:
-    """Copy a trace file with the first signal of one data row set to nan."""
+def _with_nan_cell(src: Path, dst: Path, row: int = 40,
+                   cell: str = "nan") -> Path:
+    """Copy a trace file with the first signal of one data row set to nan
+    (or to another cell text)."""
     lines = src.read_text().splitlines()
     data = [i for i, ln in enumerate(lines)
             if ln and not ln.startswith("#")][1:]
     fields = lines[data[row]].split(",")
-    fields[3] = "nan"
+    fields[3] = cell
     lines[data[row]] = ",".join(fields)
     dst.write_text("\n".join(lines) + "\n")
     return dst
+
+
+def _rejected_by_detect(capsys, out: Path, trace, model, detector) -> str:
+    """Run detect on input it must reject; returns its one stderr line."""
+    capsys.readouterr()
+    rc = main(["detect", "--trace", str(trace), "--model", str(model),
+               "--detector", str(detector), "--out", str(out)])
+    assert rc == EXIT_VALIDATION and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return err
+
+
+def _first_nan(a: np.ndarray) -> np.ndarray:
+    out = a.copy()
+    out.flat[0] = np.nan
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +203,29 @@ class TestPipelineArtifacts:
         # the DDoS flood segment must trip the rate check
         assert "DroppedRateViolation" in dispositions
 
+    @pytest.mark.parametrize("variant, line", [
+        ("Diff", "fitted one-class SVM on 300 of {n} deviations: "),
+        ("ST", "fitted static threshold {threshold:.6g} on {n} deviations"),
+    ], ids=["Diff", "ST"])
+    def test_fit_detector_reports_the_full_window_count(self, ws, tmp_path,
+                                                        capsys, variant,
+                                                        line):
+        # the SVM is fit on the config's 300 strided windows of the trace's
+        # n; ST reads all n
+        out = tmp_path / "d.det"
+        capsys.readouterr()
+        rc = main(["fit-detector", "--trace", str(ws["train"]),
+                   "--model", str(ws["model"]), "--variant", variant,
+                   "--out", str(out), "--config", str(ws["cfg"])])
+        assert rc == EXIT_OK
+        stdout = capsys.readouterr().out
+        n = len(load_trace(ws["train"], load_config(ws["cfg"]).schema)) - 8
+        d, _ = load_detector(out)
+        expected = line.format(n=n, threshold=getattr(d, "threshold", 0.0))
+        assert stdout.splitlines()[0].startswith(expected)
+        if variant == "Diff":
+            assert d.n_train == 300
+
     def test_training_is_byte_deterministic(self, ws, tmp_path):
         out2 = tmp_path / "model2.bin"
         rc = main(["train", "--trace", str(ws["train"]), "--config",
@@ -281,6 +328,64 @@ class TestExitCodes:
         assert str(bad) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mutate", [
+        lambda m: {k: v for k, v in m.items() if k != "hyper"},
+        lambda m: {k: v for k, v in m.items() if k != "k"},
+        lambda m: {**m, "hyper": {**m["hyper"], "dropout": 0.1}},
+        lambda m: {**m, "hyper": {k: v for k, v in m["hyper"].items()
+                                  if k != "hidden_dim"}},
+        lambda m: {**m, "hyper": {**m["hyper"], "subsequence_length": 8.0}},
+        lambda m: {**m, "hyper": [m["hyper"]]},
+        lambda m: {**m, "k": "2"},
+        lambda m: {**m, "k": 3},
+    ], ids=["no-hyper", "no-k", "unknown-hyper-key", "hyper-missing-key",
+            "float-window-length", "hyper-list", "k-string", "k-mismatch"])
+    def test_malformed_model_meta_is_validation(self, ws, tmp_path, capsys,
+                                                mutate):
+        meta, blocks = model_io.load_arrays(ws["model"],
+                                            expected_type="predictor")
+        bad = tmp_path / "bad.bin"
+        model_io.save_arrays(bad, "predictor", mutate(meta), blocks)
+        err = _rejected_by_detect(capsys, tmp_path / "out.csv",
+                                  ws["attacked"], bad, ws["det_diff"])
+        assert err.startswith(f"canids: invalid input: {bad}: ")
+
+    @pytest.mark.parametrize("det_key, mutate", [
+        ("det_diff", lambda m, b: ({k: v for k, v in m.items() if k != "rho"},
+                                   b)),
+        ("det_diff", lambda m, b: (m, {"alphas": b["alphas"]})),
+        ("det_diff", lambda m, b: ({**m, "nu": "half"}, b)),
+        ("det_diff", lambda m, b: ({**m, "n_train": None}, b)),
+        ("det_diff", lambda m, b: ({**m, "rho": float("inf")}, b)),
+        ("det_diff", lambda m, b: ({**m, "gamma": float("nan")}, b)),
+        ("det_diff", lambda m, b: (m, {**b, "support_vectors": _first_nan(
+            b["support_vectors"])})),
+        ("det_st", lambda m, b: ({k: v for k, v in m.items()
+                                  if k != "threshold"}, b)),
+    ], ids=["no-rho", "no-support-vectors", "nu-string", "n-train-null",
+            "rho-inf", "gamma-nan", "nan-support-vector", "no-threshold"])
+    def test_malformed_detector_meta_is_validation(self, ws, tmp_path, capsys,
+                                                   det_key, mutate):
+        meta, blocks = model_io.load_arrays(ws[det_key],
+                                            expected_type="detector")
+        bad = tmp_path / "bad.det"
+        model_io.save_arrays(bad, "detector", *mutate(meta, blocks))
+        err = _rejected_by_detect(capsys, tmp_path / "out.csv",
+                                  ws["attacked"], ws["model"], bad)
+        assert err.startswith(f"canids: invalid input: {bad}: ")
+
+    def test_non_finite_timestamp_in_trace_is_validation(self, ws, tmp_path,
+                                                         capsys):
+        bad = tmp_path / "nan_stamp.csv"
+        bad.write_text("timestamp,message_id,k,sig_1,sig_2,label\n"
+                       "0,0x101,2,0.5,5.0,0\n"
+                       "0.015,0x101,2,0.6,5.0,0\n"
+                       "nan,0x101,2,0.7,5.0,0\n"
+                       "0.0001,0x101,2,0.8,5.0,0\n")
+        err = _rejected_by_detect(capsys, tmp_path / "out.csv", bad,
+                                  ws["model"], ws["det_diff"])
+        assert err.startswith(f"canids: invalid input: {bad}:4: ")
+
     def test_detector_file_unfit_for_its_variant_is_validation(self, ws,
                                                               tmp_path):
         # the 2-dim Diff SVM relabelled Sum, which needs a 1-dim detector
@@ -316,6 +421,27 @@ class TestExitCodes:
         assert err.startswith("canids: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["inf", "-1e999"])
+    def test_infinite_cell_in_detect_trace_is_runtime(self, ws, tmp_path,
+                                                      capsys, cell):
+        # stopped before the forward, which would warn on stderr while it
+        # turned the infinity into NaN
+        bad = _with_nan_cell(ws["attacked"], tmp_path / "attacked_inf.csv",
+                             cell=cell)
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["detect", "--trace", str(bad),
+                       "--model", str(ws["model"]),
+                       "--detector", str(ws["det_diff"]), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == ("canids: numeric error: record 40 holds a non-finite "
+                       "payload\n")
+        assert not out.exists()
+
     def test_unwritable_output_is_runtime(self, ws, tmp_path):
         # --out pointing at an existing directory: an I/O failure, not a
         # validation one
@@ -330,3 +456,76 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert "canids" in capsys.readouterr().out
+
+
+# byte overwrites and a truncation of a valid file, as in the model-container
+# fuzz; positions and cuts are taken modulo the file length. Half the
+# overwrites draw from the CSV's own alphabet, so that rows stay parsable
+# often enough to reach the checks past the parser
+_FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+_BYTES = hs.one_of(hs.sampled_from(b"0123456789.-,e\n#xnaif"),
+                   hs.integers(0, 255))
+_FLIPS = hs.lists(hs.tuples(hs.integers(0, 2**20), _BYTES), max_size=4)
+_CUTS = hs.one_of(hs.none(), hs.integers(0, 2**20))
+
+
+def _corrupt(src: Path, dst: Path, flips, cut) -> Path:
+    raw = bytearray(src.read_bytes())
+    for pos, byte in flips:
+        raw[pos % len(raw)] = byte
+    if cut is not None:
+        raw = raw[: cut % (len(raw) + 1)]
+    dst.write_bytes(bytes(raw))
+    return dst
+
+
+def _assert_one_outcome(rc: int, err: str, wrote: bool) -> None:
+    """Success, or a failure that writes nothing and explains itself in
+    exactly one stderr line."""
+    if rc == EXIT_OK:
+        assert wrote and err == ""
+    else:
+        assert not wrote
+        assert err.startswith("canids: ") and err.count("\n") == 1
+
+
+@_FUZZ
+@given(flips=_FLIPS, cut=_CUTS)
+def test_corrupted_trace_through_detect(ws, capsys, flips, cut):
+    with tempfile.TemporaryDirectory() as d:
+        bad = _corrupt(ws["attacked"], Path(d) / "attacked.csv", flips, cut)
+        out = Path(d) / "out.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            # a warning would print to stderr from the command line
+            warnings.simplefilter("always")
+            rc = main(["detect", "--trace", str(bad),
+                       "--model", str(ws["model"]),
+                       "--detector", str(ws["det_diff"]), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        _assert_one_outcome(rc, capsys.readouterr().err, out.exists())
+        if rc == EXIT_RUNTIME:
+            # the documented runtime failure: a well-formed trace whose
+            # payload holds a NaN or an infinity (an overwritten byte can
+            # turn a digit into an exponent past 1e308)
+            trace = load_trace(bad, load_config(ws["cfg"]).schema)
+            assert not np.isfinite(trace.signals).all()
+        else:
+            assert rc in (EXIT_OK, EXIT_VALIDATION)
+
+
+@_FUZZ
+@given(flips=_FLIPS, cut=_CUTS)
+def test_corrupted_detections_through_eval(ws, capsys, flips, cut):
+    with tempfile.TemporaryDirectory() as d:
+        bad = _corrupt(ws["out_diff"], Path(d) / "diff.csv", flips, cut)
+        out = Path(d) / "reports"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["eval", "--detections", str(bad),
+                       "--truth", str(ws["manifest"]), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert rc in (EXIT_OK, EXIT_VALIDATION)
+        _assert_one_outcome(rc, capsys.readouterr().err, out.exists())

@@ -222,6 +222,21 @@ class TestOcsvmBehavior:
                        alphas=np.array([1.2, -0.2]), rho=0.0,
                        gamma=1.0, nu=0.5, n_train=2)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("support_vectors", np.array([[0.0], [np.nan]]), "finite"),
+        ("alphas", np.array([0.5, np.nan]), "finite"),
+        ("gamma", np.nan, "gamma"),
+        ("gamma", np.inf, "gamma"),
+    ])
+    def test_non_finite_fields_rejected(self, field, value, match):
+        # a NaN anywhere in the kernel sum makes every score NaN, and a NaN
+        # score flags nothing
+        good = dict(support_vectors=np.zeros((2, 1)),
+                    alphas=np.array([0.5, 0.5]), rho=0.0, gamma=1.0, nu=0.5,
+                    n_train=2)
+        with pytest.raises(ValueError, match=match):
+            OcsvmModel(**{**good, field: value})
+
 
 class TestStaticThreshold:
     def test_percentile_on_row_max_abs(self):

@@ -1,11 +1,13 @@
 """End-to-end pipeline stages: seeding, suite expansion, detection tables,
 interchange CSV, full experiment runs."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from canids import detector as det
 from canids import metrics, pipeline
 from canids.baselines import LofConfig, lof_scores
 from canids.config import load_config_dict
@@ -30,6 +32,8 @@ from canids.pipeline import (
     stage_seed,
     train_predictor,
 )
+from canids.predictor import PredictorHyper, build_model, predict_last_batch
+from canids.traces import apply_scaling, fit_and_scale, window_arrays
 
 
 def _toy_cfg(**overrides):
@@ -199,15 +203,107 @@ def trained():
     return trace, model, scaling
 
 
+def _svm_fields(d: OcsvmModel) -> list[bytes]:
+    return [np.asarray(getattr(d, f.name)).tobytes()
+            for f in dataclasses.fields(d)]
+
+
+def _all_window_route(model, scaling, trace, variant, detcfg):
+    """The fit as it was before thinning moved ahead of the forward: every
+    window predicted, then fit_detector_on strides the deviations down."""
+    X, Y = window_arrays(apply_scaling(trace, scaling),
+                         model.hyper.subsequence_length)
+    all_devs = det.deviations(model, variant, X, Y)
+    return all_devs, fit_detector_on(all_devs, detcfg, variant)
+
+
+def _predicted_rows(call):
+    """Run call() and count the windows it hands to predict_last_batch."""
+    with mock.patch.object(det, "predict_last_batch",
+                           wraps=predict_last_batch) as spy:
+        out = call()
+    return out, sum(len(c.args[1]) for c in spy.call_args_list)
+
+
 class TestDeviationsAndDetectors:
     def test_deviation_geometry(self, trained):
         trace, model, scaling = trained
-        L = model.hyper.subsequence_length
-        diff = deviations_for(model, scaling, trace, "Diff")
-        assert diff.shape == (len(trace) - L, 2)
-        for variant in ("ST", "Sum", "Avg", "Max"):
-            assert deviations_for(model, scaling, trace, variant).shape == \
-                (len(trace) - L, 1)
+        n = len(trace) - model.hyper.subsequence_length
+        cap = CFG.detector.max_train_points
+        assert n > cap
+        assert deviations_for(model, scaling, trace, "ST",
+                              CFG.detector)[0].shape == (n, 1)
+        diff, n_windows = deviations_for(model, scaling, trace, "Diff",
+                                         CFG.detector)
+        assert diff.shape == (cap, 2) and n_windows == n
+        for variant in ("Sum", "Avg", "Max"):
+            devs, n_windows = deviations_for(model, scaling, trace, variant,
+                                             CFG.detector)
+            assert devs.shape == (cap, 1) and n_windows == n
+
+    @pytest.mark.parametrize("variant", ["Diff", "Sum", "Avg", "Max"])
+    def test_svm_variants_predict_only_the_strided_windows(self, trained,
+                                                           variant):
+        trace, model, scaling = trained
+        cap = CFG.detector.max_train_points
+        _, rows = _predicted_rows(
+            lambda: fit_detector(CFG, model, scaling, trace, variant))
+        assert rows == cap < len(trace) - model.hyper.subsequence_length
+
+    def test_st_predicts_every_window(self, trained):
+        trace, model, scaling = trained
+        _, rows = _predicted_rows(
+            lambda: fit_detector(CFG, model, scaling, trace, "ST"))
+        assert rows == len(trace) - model.hyper.subsequence_length
+
+    @pytest.mark.parametrize("variant", ["Diff", "Sum", "Avg", "Max"])
+    def test_thinned_fit_equals_the_all_window_route(self, trained, variant):
+        trace, model, scaling = trained
+        all_devs, expected = _all_window_route(model, scaling, trace,
+                                               variant, CFG.detector)
+        devs, _ = deviations_for(model, scaling, trace, variant,
+                                 CFG.detector)
+        assert devs.tobytes() == _subsample(
+            all_devs, CFG.detector.max_train_points).tobytes()
+        got = fit_detector(CFG, model, scaling, trace, variant)
+        assert _svm_fields(got) == _svm_fields(expected)
+
+    def test_st_fit_equals_the_all_window_route(self, trained):
+        trace, model, scaling = trained
+        _, expected = _all_window_route(model, scaling, trace, "ST",
+                                        CFG.detector)
+        assert fit_detector(CFG, model, scaling, trace, "ST") == expected
+
+    # the two bench architectures on their training-trace lengths and caps:
+    # the small model's 3,000 records thinned to 800, the default model's
+    # 1,000 records (L=32) to 400
+    @pytest.mark.parametrize("hyper, records, cap", [
+        (PredictorHyper(subsequence_length=8, embed_dim=16, hidden_dim=16),
+         3000, 800),
+        (PredictorHyper(), 1000, 400),
+    ], ids=["small", "default"])
+    def test_thinned_fit_equals_the_all_window_route_at_bench_shapes(
+            self, hyper, records, cap):
+        cfg = _toy_cfg(
+            schema={"message_id": "0x101", "signal_count": 3,
+                    "nominal_period_ms": 15.0},
+            signals=[{"kind": "sine", "lo": -2.0, "hi": 2.0,
+                      "amplitude": 1.5, "period_s": 0.8, "noise_std": 0.02},
+                     {"kind": "random-walk", "lo": 0.0, "hi": 10.0,
+                      "step_std": 0.05},
+                     {"kind": "ramp-reset", "lo": 0.0, "hi": 5.0,
+                      "period_s": 0.645, "noise_std": 0.01}],
+            detector={"nu": 0.01, "max_train_points": cap})
+        trace = gen_trace(cfg, "train", duration=records * 0.015)
+        _, scaling = fit_and_scale(trace)
+        model = build_model(3, hyper, seed=11)
+        for variant in ("Diff", "Max"):
+            _, expected = _all_window_route(model, scaling, trace, variant,
+                                            cfg.detector)
+            got, rows = _predicted_rows(
+                lambda: fit_detector(cfg, model, scaling, trace, variant))
+            assert rows == cap
+            assert _svm_fields(got) == _svm_fields(expected)
 
     def test_fit_detector_kinds(self, trained):
         trace, model, scaling = trained
@@ -221,6 +317,14 @@ class TestDeviationsAndDetectors:
         devs = np.random.default_rng(0).normal(size=(1000, 1)) * 0.01
         svm = fit_detector_on(devs, CFG.detector, "Sum")
         assert svm.n_train == CFG.detector.max_train_points
+
+    def test_fit_detector_on_leaves_thinned_rows_alone(self):
+        devs = np.random.default_rng(0).normal(size=(1000, 1)) * 0.01
+        thinned = _subsample(devs, CFG.detector.max_train_points)
+        with mock.patch.object(det, "fit_ocsvm",
+                               wraps=det.fit_ocsvm) as spy:
+            fit_detector_on(thinned, CFG.detector, "Sum")
+        assert spy.call_args.args[0] is thinned
 
 
 class TestDetect:
@@ -325,6 +429,28 @@ class TestDetectionCsv:
         text += "1.0,0,0.5\n"
         with pytest.raises(ValueError, match="7 columns"):
             parse_detection_csv(text)
+
+    @pytest.mark.parametrize("row, match", [
+        ("1.0,0,x,0,0,0,0", r"x\.csv:9: malformed row"),
+        ("1.0.0,0,,0,0,0,0", r"x\.csv:9: malformed row"),
+        ("1.0,0.5,,0,0,0,0", r"x\.csv:9: label and flags must be 0 or 1"),
+        ("1.0,2,,0,0,0,0", r"x\.csv:9: label and flags must be 0 or 1"),
+        ("1.0,0,,0,0,0,-1", r"x\.csv:9: label and flags must be 0 or 1"),
+        (f"1.0,{2**70},,0,0,0,0", r"x\.csv:9: label and flags"),
+    ])
+    def test_malformed_row_names_its_line(self, row, match):
+        # the tiny table takes lines 1-8: three provenance lines, the
+        # header and four rows
+        text = detection_csv(_tiny_table()) + row + "\n"
+        with pytest.raises(ValueError, match=match):
+            parse_detection_csv(text, "x.csv")
+
+    @pytest.mark.parametrize("line", ["# message_id: 0x5g",
+                                      "# eval_from: two"])
+    def test_malformed_provenance_names_its_line(self, line):
+        text = line + "\n" + detection_csv(_tiny_table())
+        with pytest.raises(ValueError, match=r"x\.csv:1: malformed"):
+            parse_detection_csv(text, "x.csv")
 
     def test_provenance_required(self):
         t = _tiny_table()

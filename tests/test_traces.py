@@ -111,6 +111,28 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=r":2: label"):
             load_trace(p, SCHEMA)
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_rejected_with_line_number(self, tmp_path,
+                                                            stamp):
+        # a NaN compares False against its neighbours, so without this check
+        # it would also let the backward row after it through
+        p = tmp_path / "t.csv"
+        p.write_text("timestamp,message_id,k,sig_1,sig_2,label\n"
+                     "0,0x101,2,1.0,2.0,0\n"
+                     "0.015,0x101,2,1.1,2.1,0\n"
+                     f"{stamp},0x101,2,1.2,2.2,0\n"
+                     "0.0001,0x101,2,1.3,2.3,0\n")
+        with pytest.raises(ValueError,
+                           match=r"t\.csv:4: timestamp .* not finite"):
+            load_trace(p, SCHEMA)
+
+    def test_non_utf8_bytes_rejected_naming_the_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"timestamp,message_id,k,sig_1,sig_2,label\n"
+                      b"0.0,0x101,2,1.0,2.\xff,0\n")
+        with pytest.raises(ValueError, match=r"t\.csv: not UTF-8 text"):
+            load_trace(p, SCHEMA)
+
     def test_wrong_message_id_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("timestamp,message_id,k,sig_1,sig_2,label\n"
