@@ -24,7 +24,7 @@ CONFIG = {
     "predictor": {"subsequence_length": 8, "embed_dim": 16, "hidden_dim": 16,
                   "batch_size": 128, "learning_rate": 1e-3, "max_epochs": 30,
                   "patience": 8, "loss_mode": "all"},
-    "detector": {"variant": "Diff", "nu": 0.05, "max_train_points": 600},
+    "detector": {"nu": 0.05, "max_train_points": 600},
 }
 
 

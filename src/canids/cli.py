@@ -29,6 +29,7 @@ from .tracegen import load_manifest, save_manifest
 from .traces import (
     MessageSchema,
     ScalingParams,
+    from_json,
     load_trace,
     read_text,
     save_scaling,
@@ -59,26 +60,9 @@ def _provenance(cfg: ExperimentConfig | None = None, seed: int | None = None,
     return prov
 
 
-def _schema_meta(schema: MessageSchema) -> dict:
-    return {
-        "message_id": schema.message_id,
-        "signal_count": schema.signal_count,
-        "nominal_period_ms": schema.nominal_period_ms,
-        "signal_names": list(schema.signal_names),
-    }
-
-
 def _schema_from_meta(meta: dict, path) -> MessageSchema:
-    try:
-        d = meta["schema"]
-        return MessageSchema(message_id=int(d["message_id"]),
-                             signal_count=int(d["signal_count"]),
-                             nominal_period_ms=float(d["nominal_period_ms"]),
-                             signal_names=tuple(d["signal_names"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(
-            f"{path}: model file carries no usable schema block ({exc}); "
-            "was it written by the train command?") from None
+    return from_json(MessageSchema, meta.get("schema"), f"{path}: schema",
+                     complete=True)
 
 
 def _scaling_from_meta(meta: dict, schema: MessageSchema,
@@ -128,7 +112,7 @@ def cmd_train(args) -> int:
     trace = load_trace(args.trace, cfg.schema)
     model, scaling, history = pl.train_predictor(cfg, trace)
     extra = {
-        "schema": _schema_meta(cfg.schema),
+        "schema": dataclasses.asdict(cfg.schema),
         "scaling": {"mins": list(scaling.mins), "maxs": list(scaling.maxs)},
         "provenance": _provenance(cfg),
         "training": {
@@ -349,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attacked trace; adds baseline detector rows")
     e.add_argument("--config", default=None,
                    help="config with baseline parameters (with --trace)")
-    e.add_argument("--seed", type=int, default=None)
     e.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("simulate",

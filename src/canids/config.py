@@ -1,7 +1,11 @@
 """Experiment configuration: a single JSON file drives every pipeline stage.
 
-Schema (all keys validated, unknown keys rejected; dotted paths below name
-nested objects):
+Schema (every key validated, unknown keys rejected; dotted paths below name
+nested objects). Every value is type-checked: an integer field takes only an
+integer (not a float or a bool), a float field an integer or a float, a
+boolean only true or false, and null only where the field is optional. A
+wrong type fails like any other invalid value, with the key path in the
+message (exit code 1 from the command line).
 
     seed                  integer, base seed; stage seeds derive from it
     schema.message_id     int or hex string         (e.g. "0x101")
@@ -13,8 +17,8 @@ nested objects):
     attacks               {"suite": "default", ...knobs} or
                           {"list": [attack spec dicts with absolute times]}
     predictor.*           PredictorHyper fields + train_ratio
-    detector.*            variant, nu, gamma (null = 1/d), percentile,
-                          tol, max_iter, max_train_points
+    detector.*            nu, gamma (null = 1/d), percentile, tol,
+                          max_iter, max_train_points
     baselines.*           bollinger_window, bollinger_band_width,
                           lof_k, lof_threshold
     controller.*          tolerance_fraction, substitution
@@ -27,14 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .controller import OnlineConfig
-from .detector import VARIANTS
 from .predictor import PredictorHyper
 from .tracegen import PAYLOAD_MODES, AttackSpec, SignalGenSpec
-from .traces import MessageSchema
+from .traces import MessageSchema, from_json, json_value
 
 
 class ConfigError(ValueError):
@@ -77,7 +80,6 @@ class SuiteConfig:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    variant: str = "Diff"
     nu: float = 0.01
     gamma: float | None = None
     percentile: float = 99.9
@@ -86,10 +88,6 @@ class DetectorConfig:
     max_train_points: int = 2000
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ConfigError(
-                f"detector.variant must be one of {VARIANTS}, "
-                f"got {self.variant!r}")
         if not 0 < self.nu <= 1:
             raise ConfigError("detector.nu must lie in (0, 1]")
         if self.gamma is not None and self.gamma <= 0:
@@ -156,128 +154,77 @@ def _expect_keys(d: dict, path: str, allowed: set[str]) -> None:
         raise ConfigError(f"{path}: unknown keys {sorted(extra)}")
 
 
-def _get(d: dict, path: str, key: str, kind, default=...,
-         required: bool = False):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}: required key missing")
-        return default
-    v = d[key]
-    if kind is float and isinstance(v, int) and not isinstance(v, bool):
-        v = float(v)
-    bad_bool = isinstance(v, bool) and kind in (int, float)
-    if bad_bool or (kind is not None and not isinstance(v, kind)):
-        raise ConfigError(
-            f"{path}.{key}: expected {getattr(kind, '__name__', kind)}, "
-            f"got {type(v).__name__}")
-    return v
-
-
-def _parse_schema(d: dict) -> MessageSchema:
-    _expect_keys(d, "schema", {"message_id", "signal_count",
-                               "nominal_period_ms", "signal_names"})
-    mid = d.get("message_id")
+def _parse_schema(d) -> MessageSchema:
+    mid = d.get("message_id") if type(d) is dict else None
     if isinstance(mid, str):
         try:
-            mid = int(mid, 0)
+            d = {**d, "message_id": int(mid, 0)}
         except ValueError:
             raise ConfigError(
                 f"schema.message_id: not a valid integer: {mid!r}") from None
-    if not isinstance(mid, int):
-        raise ConfigError("schema.message_id: required int or hex string")
-    try:
-        return MessageSchema(
-            message_id=mid,
-            signal_count=_get(d, "schema", "signal_count", int, required=True),
-            nominal_period_ms=_get(d, "schema", "nominal_period_ms", float,
-                                   required=True),
-            signal_names=tuple(d.get("signal_names", ())),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"schema: {exc}") from None
-
-
-def _parse_dataclass(d: dict, path: str, cls, field_names: set[str]):
-    _expect_keys(d, path, field_names)
-    try:
-        return cls(**d)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return from_json(MessageSchema, d, "schema")
 
 
 def load_config_dict(doc: dict, config_hash: str = "",
                      source_path: str = "") -> ExperimentConfig:
-    if not isinstance(doc, dict):
+    """Build and check the config from a parsed JSON document; any invalid
+    key or value raises ConfigError naming its key path."""
+    try:
+        return _parse(doc, config_hash, source_path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _parse(doc, config_hash: str, source_path: str) -> ExperimentConfig:
+    if type(doc) is not dict:
         raise ConfigError("top level must be a JSON object")
     _expect_keys(doc, "config", {
         "seed", "schema", "signals", "generation", "attacks", "predictor",
         "detector", "baselines", "controller"})
-    seed = _get(doc, "config", "seed", int, required=True)
-    if "schema" not in doc:
-        raise ConfigError("schema: required key missing")
-    schema = _parse_schema(doc["schema"])
-    raw_signals = doc.get("signals")
-    if not isinstance(raw_signals, list) or not raw_signals:
+    for key in ("seed", "schema", "signals"):
+        if key not in doc:
+            raise ConfigError(f"{key}: required key missing")
+    signals = json_value(doc["signals"], tuple[SignalGenSpec, ...], "signals")
+    if not signals:
         raise ConfigError("signals: required non-empty list")
-    signals = []
-    for i, sd in enumerate(raw_signals):
-        try:
-            signals.append(SignalGenSpec.from_dict(sd))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"signals[{i}]: {exc}") from None
 
-    generation = _parse_dataclass(doc.get("generation", {}), "generation",
-                                  GenerationConfig,
-                                  {"train_duration_s", "test_duration_s"})
-
-    attacks_doc = doc.get("attacks", {"suite": "default"})
+    attacks = doc.get("attacks", {"suite": "default"})
+    if type(attacks) is not dict:
+        raise ConfigError("attacks: expected an object")
     suite = None
     attack_list = None
-    if "list" in attacks_doc:
-        _expect_keys(attacks_doc, "attacks", {"list"})
-        attack_list = []
-        for i, ad in enumerate(attacks_doc["list"]):
-            try:
-                attack_list.append(AttackSpec.from_dict(ad))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"attacks.list[{i}]: {exc}") from None
-        attack_list = tuple(attack_list)
+    if "list" in attacks:
+        _expect_keys(attacks, "attacks", {"list"})
+        attack_list = json_value(attacks["list"], tuple[AttackSpec, ...],
+                                 "attacks.list")
     else:
-        if attacks_doc.get("suite", "default") != "default":
+        if attacks.get("suite", "default") != "default":
             raise ConfigError(
                 f"attacks.suite: only 'default' is defined, "
-                f"got {attacks_doc.get('suite')!r}")
-        knobs = {k: v for k, v in attacks_doc.items() if k != "suite"}
-        suite = _parse_dataclass(
-            knobs, "attacks", SuiteConfig,
-            {"target_signal", "constant_offset", "continuous_increment",
-             "continuous_offset", "multiplier", "payload_mode"})
+                f"got {attacks.get('suite')!r}")
+        knobs = {k: v for k, v in attacks.items() if k != "suite"}
+        suite = from_json(SuiteConfig, knobs, "attacks")
 
-    pred_doc = dict(doc.get("predictor", {}))
-    train_ratio = pred_doc.pop("train_ratio", 0.8)
-    hyper = _parse_dataclass(
-        pred_doc, "predictor", PredictorHyper,
-        {"subsequence_length", "embed_dim", "hidden_dim", "batch_size",
-         "learning_rate", "max_epochs", "patience", "loss_mode"})
-    detector = _parse_dataclass(
-        doc.get("detector", {}), "detector", DetectorConfig,
-        {"variant", "nu", "gamma", "percentile", "tol", "max_iter",
-         "max_train_points"})
-    baselines = _parse_dataclass(
-        doc.get("baselines", {}), "baselines", BaselineConfig,
-        {"bollinger_window", "bollinger_band_width", "lof_k", "lof_threshold"})
-    try:
-        controller = _parse_dataclass(
-            doc.get("controller", {}), "controller", OnlineConfig,
-            {"tolerance_fraction", "substitution"})
-    except ValueError as exc:
-        raise ConfigError(f"controller: {exc}") from None
-
+    predictor = doc.get("predictor", {})
+    if type(predictor) is not dict:
+        raise ConfigError("predictor: expected an object")
+    hyper_doc = {k: v for k, v in predictor.items() if k != "train_ratio"}
     return ExperimentConfig(
-        seed=seed, schema=schema, signals=tuple(signals),
-        generation=generation, suite=suite, attack_list=attack_list,
-        hyper=hyper, train_ratio=float(train_ratio), detector=detector,
-        baselines=baselines, controller=controller,
+        seed=json_value(doc["seed"], int, "seed"),
+        schema=_parse_schema(doc["schema"]),
+        signals=signals,
+        generation=from_json(GenerationConfig, doc.get("generation", {}),
+                             "generation"),
+        suite=suite, attack_list=attack_list,
+        hyper=from_json(PredictorHyper, hyper_doc, "predictor"),
+        train_ratio=json_value(predictor.get("train_ratio", 0.8), float,
+                               "predictor.train_ratio"),
+        detector=from_json(DetectorConfig, doc.get("detector", {}),
+                           "detector"),
+        baselines=from_json(BaselineConfig, doc.get("baselines", {}),
+                            "baselines"),
+        controller=from_json(OnlineConfig, doc.get("controller", {}),
+                             "controller"),
         config_hash=config_hash, source_path=source_path)
 
 

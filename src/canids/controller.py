@@ -45,6 +45,14 @@ from .traces import ScalingParams, _fmt
 DISPOSITIONS = ("Delivered", "DroppedAnomalous", "DroppedRateViolation")
 
 
+def _check_tolerance(tolerance_fraction: float) -> None:
+    """The rate gate's tolerance rule. Outside (0, 1) the gate means nothing:
+    from 1 up no gap is too fast, at 0 and below every gap off the exact
+    period is flagged, and NaN flags none."""
+    if not 0.0 < tolerance_fraction < 1.0:
+        raise ValueError("tolerance_fraction must lie in (0, 1)")
+
+
 @dataclass
 class RateCheckerState:
     """Tracks inter-arrival times against the expected period.
@@ -64,8 +72,7 @@ class RateCheckerState:
     def __post_init__(self) -> None:
         if self.expected_period_ms <= 0:
             raise ValueError("expected_period_ms must be positive")
-        if not 0.0 < self.tolerance_fraction < 1.0:
-            raise ValueError("tolerance_fraction must lie in (0, 1)")
+        _check_tolerance(self.tolerance_fraction)
 
 
 def rate_check(state: RateCheckerState, timestamp: float) -> str:
@@ -101,6 +108,7 @@ def rate_flags(timestamps: np.ndarray, expected_period_ms: float,
 
     Returns (too_fast, too_slow) 0/1 arrays; the first record is 'ok'.
     """
+    _check_tolerance(tolerance_fraction)
     ts = np.asarray(timestamps, dtype=np.float64)
     if len(ts) and np.any(np.diff(ts) < 0):
         raise ValueError("timestamps must be non-decreasing")
@@ -161,6 +169,7 @@ class OnlineConfig:
     substitution: str = "prediction"  # or "freeze": repeat last normal value
 
     def __post_init__(self) -> None:
+        _check_tolerance(self.tolerance_fraction)
         if self.substitution not in ("prediction", "freeze"):
             raise ValueError("substitution must be 'prediction' or 'freeze'")
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import model_io
 from .predictor import PredictorModel, predict_last_batch
+from .traces import from_json
 
 VARIANTS = ("ST", "Diff", "Sum", "Avg", "Max")
 
@@ -345,9 +346,9 @@ def save_detector(det: OcsvmModel | StaticThreshold, variant: str,
 
 
 def load_detector(path) -> tuple[OcsvmModel | StaticThreshold, str]:
-    """Load a detector and its variant name. A header that lacks a field,
-    holds a mistyped or invalid one, or names a variant the detector cannot
-    score raises ValueError naming the file."""
+    """Load a detector and its variant name. A header that lacks a field or
+    block, holds an unknown, mistyped or invalid one, or names a variant the
+    detector cannot score raises ValueError naming the file."""
     meta, blocks = model_io.load_arrays(path, expected_type="detector")
     if meta.get("version") != _DETECTOR_VERSION:
         raise ValueError(
@@ -355,21 +356,11 @@ def load_detector(path) -> tuple[OcsvmModel | StaticThreshold, str]:
     kind = meta.get("kind")
     if kind not in ("static-threshold", "ocsvm"):
         raise ValueError(f"{path}: unknown detector kind {kind!r}")
-    try:
-        if kind == "static-threshold":
-            det = StaticThreshold(threshold=float(meta["threshold"]))
-        else:
-            det = OcsvmModel(
-                support_vectors=blocks["support_vectors"],
-                alphas=blocks["alphas"],
-                rho=float(meta["rho"]), gamma=float(meta["gamma"]),
-                nu=float(meta["nu"]), n_train=int(meta["n_train"]),
-                converged=bool(meta["converged"]),
-                kkt_gap=float(meta["kkt_gap"]))
-    except KeyError as exc:
-        raise ValueError(f"{path}: {kind} detector lacks {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: invalid {kind} detector: {exc}") from None
+    cls = StaticThreshold if kind == "static-threshold" else OcsvmModel
+    fields = {k: v for k, v in meta.items()
+              if k not in ("version", "kind", "variant")}
+    det = from_json(cls, {**blocks, **fields}, f"{path}: detector",
+                    complete=True)
     variant = meta.get("variant")
     try:
         check_pairing(det, variant)

@@ -236,15 +236,15 @@ def detect_with(model: pr.PredictorModel, scaling: ScalingParams,
     n = len(trace)
     if n < L + 1:
         raise ValueError(f"trace of length {n} too short for window L={L}")
+    fast, slow = rate_flags(trace.timestamps,
+                            trace.schema.nominal_period_ms,
+                            tolerance_fraction)
     X, Y = _scaled_windows(trace, scaling, L)
     tail_scores, _ = scorer.scores(X, Y)
     scores = np.full(n, np.nan)
     scores[L:] = tail_scores
     ml = np.zeros(n, dtype=np.int64)
     ml[L:] = (tail_scores < 0.0).astype(np.int64)
-    fast, slow = rate_flags(trace.timestamps,
-                            trace.schema.nominal_period_ms,
-                            tolerance_fraction)
     final = (ml | fast).astype(np.int64)
     return DetectionTable(
         message_id=trace.schema.message_id, variant=variant, eval_from=L,

@@ -26,7 +26,7 @@ gradient checker in `nn` is the authority on its correctness.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .nn import (
     mse_loss,
     softmax,
 )
-from .traces import Trace, window_arrays
+from .traces import Trace, from_json, json_value, window_arrays
 
 MODEL_VERSION = "predictor-v1"
 LOSS_MODES = ("last", "all")
@@ -132,18 +132,6 @@ class PredictorModel:
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.params.values())
-
-    def parameter_count_closed_form(self) -> int:
-        """The count as an explicit sum over layer dimensions; must equal
-        parameter_count() for any (k, embed_dim, hidden_dim)."""
-        k, e, h = self.k, self.hyper.embed_dim, self.hyper.hidden_dim
-        embed = e * k + e
-        enc1 = 4 * h * e + 4 * h * h + 4 * h
-        stacked = 4 * h * h + 4 * h * h + 4 * h  # enc2, dec1, dec2 alike
-        attn = h * h + h
-        combine = h * 2 * h + h
-        out = k * h + k
-        return embed + enc1 + 3 * stacked + attn + combine + out
 
 
 def build_model(k: int, hyper: PredictorHyper | None = None,
@@ -428,16 +416,7 @@ def save_model(model: PredictorModel, path,
     meta = {
         "version": model.version,
         "k": model.k,
-        "hyper": {
-            "subsequence_length": model.hyper.subsequence_length,
-            "embed_dim": model.hyper.embed_dim,
-            "hidden_dim": model.hyper.hidden_dim,
-            "batch_size": model.hyper.batch_size,
-            "learning_rate": model.hyper.learning_rate,
-            "max_epochs": model.hyper.max_epochs,
-            "patience": model.hyper.patience,
-            "loss_mode": model.hyper.loss_mode,
-        },
+        "hyper": asdict(model.hyper),
         "parameter_count": model.parameter_count(),
     }
     for key, value in (extra_meta or {}).items():
@@ -459,39 +438,17 @@ def load_model_file(path, expected_k: int | None = None
     if meta.get("version") != MODEL_VERSION:
         raise ValueError(
             f"{path}: predictor version {meta.get('version')!r} unsupported")
+    k = json_value(meta.get("k"), int, f"{path}: k")
+    hyper = from_json(PredictorHyper, meta.get("hyper"), f"{path}: hyper",
+                      complete=True)
     try:
-        k = meta["k"]
-        if type(k) is not int:
-            raise TypeError(f"k must be an integer, got {k!r}")
-        model = PredictorModel(k=k, hyper=_hyper_from_meta(meta["hyper"]),
-                               params=blocks)
-    except KeyError as exc:
-        raise ValueError(f"{path}: predictor metadata lacks {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"{path}: invalid predictor metadata: {exc}") from None
+        model = PredictorModel(k=k, hyper=hyper, params=blocks)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if expected_k is not None and k != expected_k:
         raise ValueError(
             f"{path}: model is for k={k}, expected k={expected_k}")
     return model, meta
-
-
-def _hyper_from_meta(d) -> PredictorHyper:
-    """The header's hyper block: every PredictorHyper field, no other key,
-    each value of its field's type (an integer also serves as a float)."""
-    if not isinstance(d, dict):
-        raise TypeError("hyper is not an object")
-    defaults = PredictorHyper()
-    names = {f.name for f in fields(PredictorHyper)}
-    if set(d) != names:
-        raise ValueError(f"hyper keys {sorted(d)} differ from {sorted(names)}")
-    for name, value in d.items():
-        want = type(getattr(defaults, name))
-        if type(value) is not want and not (want is float
-                                            and type(value) is int):
-            raise TypeError(f"hyper {name} must be a {want.__name__}, "
-                            f"got {value!r}")
-    return PredictorHyper(**d)
 
 
 def parameter_count_note(model: PredictorModel) -> str:

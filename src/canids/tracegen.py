@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .traces import MessageSchema, Trace
+from .traces import MessageSchema, Trace, json_value, read_text
 
 SIGNAL_KINDS = ("sine", "ramp-reset", "random-walk", "step-hold")
 ATTACK_KINDS = ("Constant", "Continuous", "Replay", "Dropping", "DDoS")
@@ -99,15 +99,6 @@ class SignalGenSpec:
             if v is not None and not (key in ("noise_std", "phase") and v == 0.0):
                 d[key] = v
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SignalGenSpec":
-        known = {"kind", "lo", "hi", "noise_std", "amplitude", "period_s",
-                 "phase", "center", "step_std", "hold_s"}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown signal spec keys: {sorted(extra)}")
-        return cls(**d)
 
 
 def _walk(rng: np.random.Generator, n: int, start: float, step_std: float,
@@ -246,16 +237,6 @@ class AttackSpec:
         if self.kind == "DDoS":
             d["payload_mode"] = self.payload_mode
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttackSpec":
-        known = {"kind", "t_start", "t_end", "target_signal", "value",
-                 "increment", "target", "source_start", "multiplier",
-                 "payload_mode"}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown attack spec keys: {sorted(extra)}")
-        return cls(**d)
 
 
 def _interval_mask(ts: np.ndarray, t_start: float, t_end: float) -> np.ndarray:
@@ -401,12 +382,28 @@ def save_manifest(specs: list[AttackSpec], path: str | Path,
 
 
 def load_manifest(path: str | Path) -> tuple[int, list[AttackSpec]]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "attack-manifest":
+    """The message ID and attacks of a manifest. Anything but a JSON object
+    of this format and version, with a hex-string message_id and a list of
+    attack objects, raises ValueError naming the file."""
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if type(doc) is not dict or doc.get("format") != "attack-manifest":
         raise ValueError(f"{path}: not an attack manifest")
-    if doc.get("version") != _MANIFEST_VERSION:
+    version = doc.get("version")
+    if type(version) is not int or version != _MANIFEST_VERSION:
         raise ValueError(
-            f"{path}: manifest version {doc.get('version')} unsupported "
+            f"{path}: manifest version {version!r} unsupported "
             f"(expected {_MANIFEST_VERSION})")
-    specs = [AttackSpec.from_dict(d) for d in doc.get("attacks", [])]
-    return int(doc["message_id"], 0), specs
+    mid = doc.get("message_id")
+    if type(mid) is not str:
+        raise ValueError(f"{path}: message_id must be a hex string, "
+                         f"got {mid!r}")
+    try:
+        message_id = int(mid, 0)
+    except ValueError:
+        raise ValueError(f"{path}: malformed message_id {mid!r}") from None
+    specs = json_value(doc.get("attacks"), tuple[AttackSpec, ...],
+                       f"{path}: attacks")
+    return message_id, list(specs)

@@ -17,8 +17,12 @@ Lines starting with '#' are provenance comments and are skipped.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +32,97 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+# --------------------------------------------------------------------------
+# typed records from JSON: config sections, attack specs, manifests and the
+# model and detector file headers all go through `from_json`
+
+
+def _type_name(hint) -> str:
+    """A type's name as JSON spells it."""
+    if dataclasses.is_dataclass(hint):
+        return "object"
+    if typing.get_origin(hint) is tuple:
+        return f"list of {_type_name(typing.get_args(hint)[0])}"
+    if typing.get_origin(hint) is types.UnionType:
+        return " or ".join(_type_name(a) for a in typing.get_args(hint))
+    return {type(None): "null", dict: "object"}.get(hint, hint.__name__)
+
+
+def json_value(value, hint, where: str):
+    """`value`, read from JSON, checked against the type `hint`.
+
+    An int takes an int but not a bool; a float also takes an int, returned
+    as a float; a bool takes only a bool; `X | None` also takes null; a
+    `tuple[X, ...]` takes a list of X, returned as a tuple; a dataclass
+    takes an object (see `from_json`); `np.ndarray` takes an array, as a
+    model file's blocks are. A mismatch raises ValueError naming `where`.
+    """
+    if type(value) is hint:
+        return value
+    want = hint
+    if typing.get_origin(hint) is types.UnionType:
+        if value is None:
+            return None
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    if dataclasses.is_dataclass(hint):
+        return from_json(hint, value, where)
+    if typing.get_origin(hint) is tuple:
+        if type(value) is list:
+            item = typing.get_args(hint)[0]
+            return tuple(json_value(v, item, f"{where}[{i}]")
+                         for i, v in enumerate(value))
+    elif hint is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{where}: {value} is out of float range") \
+                from None
+    elif type(value) is hint:
+        return value
+    raise ValueError(
+        f"{where}: expected {_type_name(want)}, "
+        f"got {_type_name(type(value))}")
+
+
+@functools.cache
+def _field_types(cls) -> tuple[dict, frozenset]:
+    """A dataclass's field types by name, and the names with no default."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    required = frozenset(
+        f.name for f in fields if f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING)
+    return {f.name: hints[f.name] for f in fields}, required
+
+
+def from_json(cls, doc, where: str, complete: bool = False):
+    """Build the frozen dataclass `cls` from the JSON object `doc`.
+
+    The keys are `cls`'s fields and no others; a missing key takes its
+    field's default, unless the field has none or `complete` is set (a file
+    header, which its writer always writes in full). Each value is checked
+    by `json_value` against its field's type. A mismatch, or a value the
+    class itself rejects, raises ValueError naming `where` and the key.
+    """
+    if type(doc) is not dict:
+        raise ValueError(
+            f"{where}: expected an object, got {_type_name(type(doc))}")
+    hints, required = _field_types(cls)
+    unknown = doc.keys() - hints.keys()
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = (hints.keys() if complete else required) - doc.keys()
+    if missing:
+        raise ValueError(f"{where}: missing keys {sorted(missing)}")
+    values = {name: json_value(v, hints[name], f"{where}.{name}")
+              for name, v in doc.items()}
+    try:
+        return cls(**values)
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an integer past float range met float arithmetic
+        raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -117,7 +212,6 @@ class Trace:
     timestamps: np.ndarray
     signals: np.ndarray
     labels: np.ndarray
-    scaling: ScalingParams | None = None
 
     def __post_init__(self) -> None:
         ts = _readonly(np.asarray(self.timestamps, dtype=np.float64))
@@ -146,14 +240,12 @@ class Trace:
         timestamps: np.ndarray | None = None,
         signals: np.ndarray | None = None,
         labels: np.ndarray | None = None,
-        scaling: ScalingParams | None | str = "keep",
     ) -> "Trace":
         return Trace(
             schema=self.schema,
             timestamps=self.timestamps if timestamps is None else timestamps,
             signals=self.signals if signals is None else signals,
             labels=self.labels if labels is None else labels,
-            scaling=self.scaling if scaling == "keep" else scaling,
         )
 
 
@@ -323,7 +415,7 @@ def apply_scaling(trace: Trace, params: ScalingParams) -> Trace:
             f"scaling params carry {params.signal_count} signals, "
             f"trace has {trace.schema.signal_count}"
         )
-    return trace.replace_data(signals=params.apply(trace.signals), scaling=params)
+    return trace.replace_data(signals=params.apply(trace.signals))
 
 
 def split_train_val(trace: Trace, ratio: float) -> tuple[Trace, Trace]:

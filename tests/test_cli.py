@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hs
 
 from canids import model_io
@@ -18,6 +18,8 @@ from canids.pipeline import parse_detection_csv
 from canids.predictor import load_model_file
 from canids.tracegen import load_manifest
 from canids.traces import load_scaling, load_trace
+
+from mutations import OTHER_JSON, json_paths, replaced
 
 
 def _config_doc():
@@ -36,8 +38,7 @@ def _config_doc():
                       "hidden_dim": 8, "batch_size": 64,
                       "learning_rate": 0.001, "max_epochs": 3,
                       "patience": 2},
-        "detector": {"variant": "Diff", "nu": 0.05,
-                     "max_train_points": 300},
+        "detector": {"nu": 0.05, "max_train_points": 300},
         "baselines": {"lof_k": 10},
     }
 
@@ -451,6 +452,85 @@ class TestExitCodes:
                    "--out", str(tmp_path)])
         assert rc == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("section, key, value, command", [
+        ("predictor", "embed_dim", 4.5, "train"),
+        ("predictor", "max_epochs", 2.5, "train"),
+        ("predictor", "subsequence_length", True, "train"),
+        ("detector", "max_train_points", 100.5, "fit-detector"),
+        ("attacks", "target_signal", 0.5, "inject"),
+        ("attacks", "multiplier", 10.5, "inject"),
+        ("baselines", "lof_k", 10.5, "eval"),
+        ("baselines", "bollinger_window", 20.5, "eval"),
+    ])
+    def test_mistyped_config_value_is_validation(self, ws, tmp_path, capsys,
+                                                 section, key, value,
+                                                 command):
+        # each of these ended in a traceback, or for multiplier went through
+        doc = _config_doc()
+        doc[section][key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        argv = {
+            "train": ["train", "--trace", str(ws["train"]),
+                      "--model-out", out],
+            "fit-detector": ["fit-detector", "--trace", str(ws["train"]),
+                             "--model", str(ws["model"]), "--variant", "Diff",
+                             "--out", out],
+            "inject": ["inject", "--trace", str(ws["test"]), "--out", out],
+            "eval": ["eval", "--detections", str(ws["out_diff"]),
+                     "--truth", str(ws["manifest"]), "--out", out,
+                     "--trace", str(ws["attacked"])],
+        }[command] + ["--config", str(cfg)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        got = "bool" if value is True else "float"
+        assert capsys.readouterr().err == (
+            f"canids: config error: {section}.{key}: expected int, "
+            f"got {got}\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda m: [m], "not an attack manifest"),
+        (lambda m: {k: v for k, v in m.items() if k != "message_id"},
+         "message_id must be a hex string, got None"),
+        (lambda m: {**m, "message_id": 257},
+         "message_id must be a hex string, got 257"),
+        (lambda m: {**m, "attacks": [5] + m["attacks"][1:]},
+         "attacks[0]: expected an object, got int"),
+        (lambda m: {**m, "attacks": [{**m["attacks"][0], "t_start": "1.0"}]
+                    + m["attacks"][1:]},
+         "attacks[0].t_start: expected float, got str"),
+    ], ids=["list", "no-message-id", "int-message-id", "non-object-attack",
+            "string-t-start"])
+    def test_malformed_manifest_is_validation(self, ws, tmp_path, capsys,
+                                              mutate, message):
+        bad = tmp_path / "bad.manifest.json"
+        bad.write_text(json.dumps(mutate(json.loads(
+            ws["manifest"].read_text()))))
+        out = tmp_path / "reports"
+        capsys.readouterr()
+        rc = main(["eval", "--detections", str(ws["out_diff"]),
+                   "--truth", str(bad), "--out", str(out)])
+        assert rc == EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == (
+            f"canids: invalid input: {bad}: {message}\n")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "0", "1", "5"])
+    def test_tolerance_outside_unit_interval_is_validation(self, ws, tmp_path,
+                                                           capsys, tolerance):
+        # each used to turn the rate gate off without a word; simulate
+        # already refused them
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        rc = main(["detect", "--trace", str(ws["attacked"]),
+                   "--model", str(ws["model"]),
+                   "--detector", str(ws["det_diff"]), "--out", str(out),
+                   "--tolerance", tolerance])
+        assert rc == EXIT_VALIDATION and not out.exists()
+        assert capsys.readouterr().err == (
+            "canids: invalid input: tolerance_fraction must lie in (0, 1)\n")
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -526,6 +606,30 @@ def test_corrupted_detections_through_eval(ws, capsys, flips, cut):
             warnings.simplefilter("always")
             rc = main(["eval", "--detections", str(bad),
                        "--truth", str(ws["manifest"]), "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert rc in (EXIT_OK, EXIT_VALIDATION)
+        _assert_one_outcome(rc, capsys.readouterr().err, out.exists())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pick=hs.integers(0, 2**16), value=OTHER_JSON)
+def test_manifest_value_of_another_type_through_eval(ws, capsys, pick, value):
+    # one value of the manifest (the document's own, an attack, or one of
+    # an attack's fields) replaced by a value of another JSON type
+    manifest = json.loads(ws["manifest"].read_text())
+    paths = list(json_paths(manifest))
+    doc = replaced(manifest, paths[pick % len(paths)], value)
+    assume(doc is not None)
+    with tempfile.TemporaryDirectory() as d:
+        bad = Path(d) / "attacked.manifest.json"
+        bad.write_text(json.dumps(doc))
+        out = Path(d) / "reports"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["eval", "--detections", str(ws["out_diff"]),
+                       "--truth", str(bad), "--out", str(out)])
         assert [str(w.message) for w in caught] == []
         assert rc in (EXIT_OK, EXIT_VALIDATION)
         _assert_one_outcome(rc, capsys.readouterr().err, out.exists())

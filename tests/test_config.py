@@ -1,8 +1,12 @@
 """Config loading: validation, key paths in errors, hashing."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 from canids.config import (
     ConfigError,
@@ -12,6 +16,8 @@ from canids.config import (
     load_config,
     load_config_dict,
 )
+
+from mutations import OTHER_JSON, json_paths, replaced
 
 
 def _full_doc() -> dict:
@@ -35,7 +41,7 @@ def _full_doc() -> dict:
                       "hidden_dim": 8, "batch_size": 64,
                       "learning_rate": 0.001, "max_epochs": 5,
                       "patience": 2, "train_ratio": 0.8},
-        "detector": {"variant": "Diff", "nu": 0.05},
+        "detector": {"nu": 0.05},
         "baselines": {"bollinger_window": 20},
         "controller": {"tolerance_fraction": 0.2,
                        "substitution": "prediction"},
@@ -56,7 +62,6 @@ class TestLoadDict:
         assert cfg.suite.constant_offset == 0.25
         assert cfg.hyper.subsequence_length == 8
         assert cfg.train_ratio == 0.8
-        assert cfg.detector.variant == "Diff"
         assert cfg.detector.nu == 0.05
         assert cfg.baselines.bollinger_window == 20
         assert cfg.controller.substitution == "prediction"
@@ -180,9 +185,11 @@ class TestLoadDict:
             load_config_dict(doc)
 
     def test_bad_variant(self):
+        # the variant is chosen per fit-detector run, not in the config
         doc = _full_doc()
         doc["detector"]["variant"] = "Median"
-        with pytest.raises(ConfigError, match="variant"):
+        with pytest.raises(ConfigError,
+                           match=r"detector: unknown keys \['variant'\]"):
             load_config_dict(doc)
 
     def test_bad_train_ratio(self):
@@ -240,3 +247,57 @@ def test_experiment_config_is_frozen():
     with pytest.raises(AttributeError):
         cfg.seed = 9
     assert isinstance(cfg, ExperimentConfig)
+
+
+# Every value is type-checked. A valid config with one value (a whole
+# section, a list, an entry or a leaf) replaced by a value of another JSON
+# type fails as a ConfigError and as nothing else. The base documents set
+# every key once and no optional key that null would leave valid.
+
+
+def _every_key_doc() -> dict:
+    doc = _full_doc()
+    doc["signals"][0].update(noise_std=0.01, phase=0.3)
+    doc["predictor"]["loss_mode"] = "all"
+    doc["detector"].update(percentile=99.0, tol=1e-3, max_iter=1000,
+                           max_train_points=100)
+    doc["baselines"].update(bollinger_band_width=2.0, lof_k=5,
+                            lof_threshold=1.5)
+    doc["attacks"].update(continuous_increment=0.002, continuous_offset=0.3,
+                          multiplier=10, payload_mode="random")
+    return doc
+
+
+def _attack_list_doc() -> dict:
+    doc = _every_key_doc()
+    doc["attacks"] = {"list": [
+        {"kind": "Constant", "t_start": 1.0, "t_end": 2.0,
+         "target_signal": 0, "value": 0.9},
+        {"kind": "Continuous", "t_start": 3.0, "t_end": 4.0,
+         "target_signal": 1, "increment": 0.01, "target": 9.0},
+        {"kind": "Replay", "t_start": 6.0, "t_end": 7.0,
+         "source_start": 0.5},
+        {"kind": "Dropping", "t_start": 8.0, "t_end": 9.0},
+        {"kind": "DDoS", "t_start": 10.0, "t_end": 11.0, "multiplier": 10,
+         "payload_mode": "random"},
+    ]}
+    return doc
+
+
+_BASES = (_every_key_doc(), _attack_list_doc())
+_SITES = [(b, path) for b, doc in enumerate(_BASES)
+          for path in json_paths(doc)]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(site=hs.sampled_from(_SITES), value=OTHER_JSON)
+def test_value_of_another_type_is_a_config_error(site, value):
+    base, path = site
+    load_config_dict(_BASES[base])
+    doc = replaced(_BASES[base], path, value)
+    assume(doc is not None)
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "exp.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            load_config(p)

@@ -1,6 +1,8 @@
 """Deviation arithmetic, the one-class SVM against the QP oracle, and the
 static-threshold detector."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,19 @@ class TestDetectorSerialization:
         assert loaded.gamma == model.gamma
         assert loaded.nu == model.nu
         assert loaded.n_train == model.n_train
+
+    @pytest.mark.parametrize("key, value", [
+        ("converged", "no"), ("n_train", 18.9), ("rho", "0.5")])
+    def test_mistyped_header_field_rejected(self, tmp_path, key, value):
+        # each of these used to load, coerced to True, 18 and 0.5
+        path = tmp_path / "d.canids"
+        X = np.random.default_rng(12).normal(size=(18, 2))
+        save_detector(fit_ocsvm(X, nu=0.2), "Diff", path)
+        meta, blocks = model_io.load_arrays(path, expected_type="detector")
+        model_io.save_arrays(path, "detector", {**meta, key: value}, blocks)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: detector.{key}: expected")):
+            load_detector(path)
 
     def test_static_round_trip(self, tmp_path):
         st = StaticThreshold(threshold=0.123456789)

@@ -52,8 +52,7 @@ def _toy_cfg(**overrides):
                       "hidden_dim": 8, "batch_size": 64,
                       "learning_rate": 0.001, "max_epochs": 3,
                       "patience": 2},
-        "detector": {"variant": "Diff", "nu": 0.05,
-                     "max_train_points": 300},
+        "detector": {"nu": 0.05, "max_train_points": 300},
         "baselines": {"lof_k": 10},
     }
     doc.update(overrides)

@@ -17,7 +17,7 @@ from canids.tracegen import (
     load_manifest,
     save_manifest,
 )
-from canids.traces import MessageSchema
+from canids.traces import MessageSchema, from_json
 
 SCHEMA = MessageSchema(message_id=0x55, signal_count=2,
                        nominal_period_ms=15.0)
@@ -351,4 +351,4 @@ class TestSpecValidation:
     def test_dict_round_trip(self):
         spec = AttackSpec(kind="Continuous", t_start=1.0, t_end=2.0,
                           target_signal=1, increment=0.01, target=3.0)
-        assert AttackSpec.from_dict(spec.to_dict()) == spec
+        assert from_json(AttackSpec, spec.to_dict(), "spec") == spec

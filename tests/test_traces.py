@@ -9,6 +9,8 @@ from canids.traces import (
     Trace,
     apply_scaling,
     fit_and_scale,
+    from_json,
+    json_value,
     load_scaling,
     load_trace,
     save_scaling,
@@ -43,6 +45,51 @@ class TestSchema:
 
     def test_period_conversion(self):
         assert SCHEMA.nominal_period_s == pytest.approx(0.015)
+
+
+class TestFromJson:
+    DOC = {"message_id": 5, "signal_count": 1, "nominal_period_ms": 10.0}
+
+    @pytest.mark.parametrize("value", [1.0, True, "1", None])
+    def test_int_field_takes_only_an_int(self, value):
+        with pytest.raises(ValueError,
+                           match=r"^s\.signal_count: expected int, got"):
+            from_json(MessageSchema, {**self.DOC, "signal_count": value}, "s")
+
+    def test_float_field_takes_an_int_as_a_float(self):
+        s = from_json(MessageSchema, {**self.DOC, "nominal_period_ms": 10},
+                      "s")
+        assert type(s.nominal_period_ms) is float
+
+    def test_tuple_field_takes_a_list_of_its_items(self):
+        s = from_json(MessageSchema, {**self.DOC, "signal_names": ["a"]}, "s")
+        assert s.signal_names == ("a",)
+        with pytest.raises(ValueError,
+                           match=r"^s\.signal_names\[0\]: expected str"):
+            from_json(MessageSchema, {**self.DOC, "signal_names": [1]}, "s")
+
+    def test_bool_and_optional(self):
+        assert json_value(None, float | None, "x") is None
+        assert json_value(True, bool, "x") is True
+        for value, hint in ((1, bool), (None, float), ("0.5", float | None)):
+            with pytest.raises(ValueError, match="^x: expected"):
+                json_value(value, hint, "x")
+
+    def test_keys(self):
+        with pytest.raises(ValueError, match=r"^s: unknown keys \['k'\]"):
+            from_json(MessageSchema, {**self.DOC, "k": 1}, "s")
+        with pytest.raises(ValueError,
+                           match=r"^s: missing keys \['signal_count'\]"):
+            from_json(MessageSchema, {"message_id": 5,
+                                      "nominal_period_ms": 1.0}, "s")
+        # a file header is complete: a field's default does not stand in
+        with pytest.raises(ValueError,
+                           match=r"^s: missing keys \['signal_names'\]"):
+            from_json(MessageSchema, self.DOC, "s", complete=True)
+
+    def test_class_checks_name_where(self):
+        with pytest.raises(ValueError, match="^s: signal_count must be"):
+            from_json(MessageSchema, {**self.DOC, "signal_count": 0}, "s")
 
 
 class TestTraceModel:
