@@ -10,9 +10,13 @@ never flagged.
 LOF compares each point's local reachability density to its neighbors'
 (score near 1 = inlier, substantially above 1 = outlier). Neighbor sets
 include distance ties, so they can hold more than k points; duplicate
-points are kept meaningful by flooring distances at 1e-12. Distances are
-computed for one block of query rows at a time, so memory per block is
-bounded whatever the number of points.
+points are kept meaningful by flooring distances at 1e-12. CAN payloads
+repeat, so points are grouped into distinct rows first and distances are
+computed only among those, one block of query rows at a time: memory per
+block is bounded, and time grows with the square of the number of
+distinct rows. Each distance is summed coordinate by coordinate, so equal
+rows sit exactly at the floor and no score depends on the block height,
+the point order or the BLAS build.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _DIST_FLOOR = 1e-12
-_BLOCK_ENTRIES = 1 << 20  # distance entries per block of query rows
+_BLOCK_ENTRIES = 1 << 16  # distance entries per block of query rows
 
 
 @dataclass(frozen=True)
@@ -117,46 +121,89 @@ class LofConfig:
 def lof_scores(points: np.ndarray, cfg: LofConfig) -> np.ndarray:
     """LOF score per point (higher = more isolated).
 
-    Distances are computed for blocks of query rows, about _BLOCK_ENTRIES
-    entries each, so memory stays bounded and the full n x n matrix is
-    never materialized. Anomaly convention: score > cfg.score_threshold;
-    for ROC sweeps that expect lower-is-anomalous, negate the scores.
+    Exact duplicate rows are grouped first, so distances are computed only
+    among the m distinct rows, for blocks of about _BLOCK_ENTRIES entries:
+    memory per block stays bounded and time grows with m squared, not with
+    the number of points. A distance sums squared coordinate differences
+    one coordinate at a time, so its bits depend on neither the block, the
+    row order nor a BLAS build, and equal rows sit exactly at the 1e-12
+    floor. A point's own copies count as its neighbors there; the point
+    itself does not. Each point's neighbors are summed in the sorted order
+    of their rows, so permuting the points permutes the scores and equal
+    rows get equal scores, bit for bit. Anomaly convention: score >
+    cfg.score_threshold; for ROC sweeps that expect lower-is-anomalous,
+    negate the scores. A NaN or infinite coordinate raises ValueError.
     """
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = len(X)
     k = cfg.k_neighbors
     if n <= k:
         raise ValueError(f"need more than k_neighbors={k} points, got {n}")
-    sq = np.sum(X * X, axis=1)
-    block = max(1, _BLOCK_ENTRIES // n)
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ValueError(f"point {int(np.argmax(bad))} is not finite")
+    U, inv, w = np.unique(X, axis=0, return_inverse=True, return_counts=True)
+    inv = inv.reshape(-1)  # numpy 2.0.0 returns it as (n, 1)
+    m = len(U)
+    coords = np.ascontiguousarray(U.T)  # one contiguous row per coordinate
+    kk = min(k, m)  # the k nearest points lie among the kk nearest rows
+    block = max(1, _BLOCK_ENTRIES // m)
+    d = np.empty((block, m))
+    tmp = np.empty((block, m))
 
-    # neighbor sets, flat and row-major: row i owns counts[i] entries
-    kdist = np.empty(n)
-    counts = np.empty(n, dtype=np.intp)
+    # neighbor rows, flat and row-major: row u owns row_counts[u] entries.
+    # The floor is applied after the selection: it is monotone, so it
+    # changes no order and no tie.
+    kdist = np.empty(m)
+    row_counts = np.empty(m, dtype=np.intp)
     cols: list[np.ndarray] = []
     dists: list[np.ndarray] = []
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (X[lo:hi] @ X.T)
-        np.clip(d2, 0.0, None, out=d2)
-        d = np.sqrt(d2)
-        np.clip(d, _DIST_FLOOR, None, out=d)
-        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # self is not a neighbor
-        kd = np.partition(d, k - 1, axis=1)[:, k - 1]
-        kdist[lo:hi] = kd
-        flat = np.flatnonzero(d <= kd[:, None])  # includes ties
-        row, col = np.divmod(flat, n)
-        counts[lo:hi] = np.bincount(row, minlength=hi - lo)
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        rows = np.arange(lo, hi)
+        db, tb = d[:hi - lo], tmp[:hi - lo]
+        np.subtract(coords[0, lo:hi, None], coords[0], out=db)
+        np.square(db, out=db)
+        for c in coords[1:]:
+            np.subtract(c[lo:hi, None], c, out=tb)
+            np.square(tb, out=tb)
+            db += tb
+        np.sqrt(db, out=db)
+        # a row's own entry stands for its w - 1 other copies at distance
+        # 0; a row with one copy has none
+        single = rows[w[lo:hi] == 1]
+        db[single - lo, single] = np.inf
+        near = np.argpartition(db, kk - 1, axis=1)[:, :kk] if kk < m \
+            else np.broadcast_to(np.arange(m), db.shape)
+        near = np.take_along_axis(
+            near, np.argsort(np.take_along_axis(db, near, axis=1), axis=1),
+            axis=1)
+        copies = w[near] - (near == rows[:, None])
+        # the k-th nearest point lies in the first row whose copies bring
+        # the running count to k
+        reached = (np.cumsum(copies, axis=1) < k).sum(axis=1)
+        kd = db[rows - lo, near[np.arange(hi - lo), reached]]
+        kdist[lo:hi] = np.maximum(kd, _DIST_FLOOR)
+        flat = np.flatnonzero(db <= kdist[lo:hi, None])  # includes ties
+        row, col = np.divmod(flat, m)
+        row_counts[lo:hi] = np.bincount(row, minlength=hi - lo)
         cols.append(col)
-        dists.append(d.ravel()[flat])
+        dists.append(np.maximum(db.ravel()[flat], _DIST_FLOOR))
+
+    # each neighbor row stands for its copies, the point itself excepted
     nbr = np.concatenate(cols)
+    owner = np.repeat(np.arange(m), row_counts)
+    copies = w[nbr] - (nbr == owner)
+    reach = np.repeat(np.maximum(kdist[nbr], np.concatenate(dists)), copies)
+    nbr = np.repeat(nbr, copies)
+    owner = np.repeat(owner, copies)
+    counts = np.bincount(owner, minlength=m)
     groups = _row_groups(counts)
 
-    reach = np.maximum(kdist[nbr], np.concatenate(dists))
-    lrd = counts / _row_sums(reach, groups, n)
-    # mean of the neighbors' lrd, then divided by the point's own: the
-    # rounding of np.mean(lrd[neighbors]) / lrd[p]
-    return _row_sums(lrd[nbr], groups, n) / counts / lrd
+    lrd = counts / _row_sums(reach, groups, m)
+    # the mean of the neighbors' lrd over the point's own, taken ratio by
+    # ratio: a neighborhood of equal density scores exactly 1
+    return (_row_sums(lrd[nbr] / lrd[owner], groups, m) / counts)[inv]
 
 
 def _row_groups(counts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

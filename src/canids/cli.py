@@ -30,6 +30,7 @@ from .traces import (
     MessageSchema,
     ScalingParams,
     from_json,
+    json_value,
     load_trace,
     read_text,
     save_scaling,
@@ -67,15 +68,19 @@ def _schema_from_meta(meta: dict, path) -> MessageSchema:
 
 def _scaling_from_meta(meta: dict, schema: MessageSchema,
                        path) -> ScalingParams:
-    try:
-        d = meta["scaling"]
-        return ScalingParams(signal_names=tuple(schema.signal_names),
-                             mins=tuple(float(v) for v in d["mins"]),
-                             maxs=tuple(float(v) for v in d["maxs"]))
-    except (KeyError, TypeError) as exc:
+    d = meta.get("scaling")
+    if type(d) is not dict:
         raise ValueError(
-            f"{path}: model file carries no usable scaling block ({exc}); "
-            "was it written by the train command?") from None
+            f"{path}: model file carries no scaling block; "
+            "was it written by the train command?")
+    where = f"{path}: scaling"
+    mins, maxs = (json_value(d.get(key), tuple[float, ...], f"{where}.{key}")
+                  for key in ("mins", "maxs"))
+    try:
+        return ScalingParams(signal_names=tuple(schema.signal_names),
+                             mins=mins, maxs=maxs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # --------------------------------------------------------------------------

@@ -144,11 +144,17 @@ def _scaled_windows(trace: Trace, scaling: ScalingParams,
     poison every window it enters, so it stops the pass here, before the
     forward turns it into NaN with a numpy warning on the way."""
     scaled = apply_scaling(trace, scaling)
-    bad = ~np.isfinite(scaled.signals).all(axis=1)
+    _require_finite(scaled.signals)
+    return window_arrays(scaled, length)
+
+
+def _require_finite(signals: np.ndarray) -> None:
+    """Raise FloatingPointError naming the first record whose payload holds
+    a NaN or an infinity."""
+    bad = ~np.isfinite(signals).all(axis=1)
     if bad.any():
         raise FloatingPointError(
             f"record {int(np.argmax(bad))} holds a non-finite payload")
-    return window_arrays(scaled, length)
 
 
 def deviations_for(model: pr.PredictorModel, scaling: ScalingParams,
@@ -365,8 +371,10 @@ def baseline_reports(cfg: ExperimentConfig, trace: Trace,
 
     Baselines judge payloads only (no rate path); LOF is transductive,
     scoring the test records against each other. Bollinger rows carry no
-    continuous score, so they have no ROC entry.
+    continuous score, so they have no ROC entry. A NaN or infinite payload
+    raises FloatingPointError before any baseline runs.
     """
+    _require_finite(trace.signals)
     nan = np.full(len(trace), np.nan)
     zeros = np.zeros(len(trace), dtype=np.int64)
     out: dict[str, mx.AttackReport] = {}

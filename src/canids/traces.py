@@ -54,11 +54,14 @@ def json_value(value, hint, where: str):
     """`value`, read from JSON, checked against the type `hint`.
 
     An int takes an int but not a bool; a float also takes an int, returned
-    as a float; a bool takes only a bool; `X | None` also takes null; a
+    as a float, but never NaN or an infinity (Python's json reads `NaN` and
+    `Infinity`); a bool takes only a bool; `X | None` also takes null; a
     `tuple[X, ...]` takes a list of X, returned as a tuple; a dataclass
     takes an object (see `from_json`); `np.ndarray` takes an array, as a
     model file's blocks are. A mismatch raises ValueError naming `where`.
     """
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{where}: {value} is not a finite number")
     if type(value) is hint:
         return value
     want = hint

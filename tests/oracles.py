@@ -164,49 +164,42 @@ def naive_lof(points: np.ndarray, k: int, floor: float = 1e-12) -> np.ndarray:
     return out
 
 
-def lof_scores_loop(points: np.ndarray, k: int, chunk: int = 1024,
+def lof_scores_loop(points: np.ndarray, k: int,
                     floor: float = 1e-12) -> np.ndarray:
-    """LOF in the loop form canids.baselines used before it went flat.
+    """LOF in the per-point loop form, over every pair of points.
 
-    Same distance expression, floor, tie-inclusive neighbor sets and
-    per-point np.sum / np.mean, so the vectorized version must match it
-    bit for bit.
+    A distance is the square root of the squared coordinate differences
+    added one coordinate at a time, floored at `floor`, so equal points sit
+    exactly at the floor. Each point's tie-inclusive neighbor list is taken
+    in the lexicographic order of the neighbors' coordinates (index order
+    among equal points), and its score is the mean of the ratios
+    lrd[neighbor] / lrd[point]. canids.baselines must match it bit for bit.
     """
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = len(X)
     if n <= k:
         raise ValueError(f"need more than k_neighbors={k} points, got {n}")
-    sq = np.sum(X * X, axis=1)
+    d2 = np.zeros((n, n))
+    for j in range(X.shape[1]):
+        d2 += (X[:, j, None] - X[None, :, j]) ** 2
+    d = np.maximum(np.sqrt(d2), floor)
+    np.fill_diagonal(d, np.inf)  # self is not a neighbor
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.lexsort(X.T[::-1])] = np.arange(n)  # first column first
 
-    def chunk_dists(lo: int, hi: int) -> np.ndarray:
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (X[lo:hi] @ X.T)
-        np.clip(d2, 0.0, None, out=d2)
-        d = np.sqrt(d2)
-        np.clip(d, floor, None, out=d)
-        return d
-
-    kdist = np.empty(n)
+    kdist = np.partition(d, k - 1, axis=1)[:, k - 1]
     neigh_idx: list[np.ndarray] = []
-    neigh_dist: list[np.ndarray] = []
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        d = chunk_dists(lo, hi)
-        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # self is not a neighbor
-        part = np.partition(d, k - 1, axis=1)
-        kd = part[:, k - 1]
-        kdist[lo:hi] = kd
-        for r in range(hi - lo):
-            idx = np.flatnonzero(d[r] <= kd[r])  # includes ties
-            neigh_idx.append(idx)
-            neigh_dist.append(d[r, idx])
+    for p in range(n):
+        idx = np.flatnonzero(d[p] <= kdist[p])  # includes ties
+        neigh_idx.append(idx[np.argsort(rank[idx])])
 
     lrd = np.empty(n)
     for p in range(n):
-        reach = np.maximum(kdist[neigh_idx[p]], neigh_dist[p])
-        lrd[p] = len(neigh_idx[p]) / np.sum(reach)
+        idx = neigh_idx[p]
+        lrd[p] = len(idx) / np.sum(np.maximum(kdist[idx], d[p, idx]))
     scores = np.empty(n)
     for p in range(n):
-        scores[p] = np.mean(lrd[neigh_idx[p]]) / lrd[p]
+        scores[p] = np.mean(lrd[neigh_idx[p]] / lrd[p])
     return scores
 
 

@@ -190,6 +190,15 @@ class TestLof:
         with pytest.raises(ValueError, match="more than"):
             lof_scores(np.zeros((5, 2)), LofConfig(k_neighbors=5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # np.unique would group NaN rows by bit pattern, and an infinity
+        # makes inf - inf distances
+        X = np.random.default_rng(6).normal(size=(12, 2))
+        X[7, 1] = bad
+        with pytest.raises(ValueError, match="point 7 is not finite"):
+            lof_scores(X, LofConfig(k_neighbors=3))
+
 
 def _clusters(rng, n_groups: int, size: int, dim: int) -> np.ndarray:
     """n_groups points, each repeated size times, in shuffled order."""
@@ -209,6 +218,10 @@ _HARD_CASES = {
         np.random.default_rng(8).normal(size=(40, 3))]), (1, 5, 8)),
     "lattice_ties": (_lattice(7, 2), (1, 4, 8)),
     "lattice_3d": (_lattice(5, 3), (1, 6, 20)),
+    # distinct points closer than the 1e-12 floor tie with duplicates
+    "sub_floor": (np.vstack([
+        [1.0, 2.0] + np.arange(12)[:, None] * [3e-14, 0.0],
+        np.random.default_rng(12).normal(size=(30, 2))]), (1, 5, 8)),
     "n_is_k_plus_one": (np.random.default_rng(9).normal(size=(6, 2)), (5,)),
     "two_points": (np.array([[0.0, 1.0], [2.0, 3.0]]), (1,)),
     "one_column": (np.round(np.random.default_rng(10).normal(size=(90, 1)),
@@ -216,48 +229,109 @@ _HARD_CASES = {
 }
 
 
-class TestLofMatchesLoopReference:
-    """lof_scores must equal the per-point loop form bit for bit.
+def _distinct(X: np.ndarray) -> int:
+    return len(np.unique(X, axis=0))
 
-    The distance block's height decides how BLAS rounds X[lo:hi] @ X.T in
-    the last bits, so the reference runs on the same row blocks."""
+
+def _with_duplicates(seed, n_distinct, n, dim, grid) -> np.ndarray:
+    """n points drawn with repeats from n_distinct normal points, rounded
+    to `grid` unless it is None."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.normal(scale=3.0, size=(n_distinct, dim))
+    if grid is not None:
+        distinct = np.round(distinct / grid) * grid
+    return distinct[rng.integers(0, n_distinct, size=n)]
+
+
+_SETS = dict(seed=hs.integers(0, 2**32 - 1), n_distinct=hs.integers(1, 25),
+             n=hs.integers(2, 60), dim=hs.integers(1, 3),
+             grid=hs.sampled_from([None, 1.0, 0.5]), k=hs.integers(1, 12))
+
+
+class TestLofMatchesLoopReference:
+    """lof_scores must equal the per-point loop form bit for bit, whatever
+    the height of its distance blocks."""
 
     @pytest.mark.parametrize("case", sorted(_HARD_CASES))
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_hard_cases(self, monkeypatch, case, rows):
         X, ks = _HARD_CASES[case]
-        n = len(X)
-        rows = rows or n
-        monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", rows * n)
+        m = _distinct(X)
+        monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", (rows or m) * m)
         for k in ks:
             got = lof_scores(X, LofConfig(k_neighbors=k))
-            assert np.array_equal(got, lof_scores_loop(X, k, chunk=rows)), k
+            assert np.array_equal(got, lof_scores_loop(X, k)), k
 
     def test_default_block_on_a_capture_sized_set(self):
-        # 2,300 rows: the default block is 455 rows, so the last block is
-        # partial; the points sit on a coarse grid, as quantized CAN
-        # signals do, with many duplicates
+        # 2,300 rows on a coarse grid, as quantized CAN signals are, with
+        # many duplicates; the default block leaves a partial last block
         rng = np.random.default_rng(11)
         X = np.round(rng.normal(size=(2300, 3)), 1)
-        block = max(1, baselines._BLOCK_ENTRIES // len(X))
-        assert 1 < block < len(X)
+        m = _distinct(X)
+        block = max(1, baselines._BLOCK_ENTRIES // m)
+        assert 1 < block < m and m % block
         for k in (1, 20):
             got = lof_scores(X, LofConfig(k_neighbors=k))
-            assert np.array_equal(got, lof_scores_loop(X, k, chunk=block))
+            assert np.array_equal(got, lof_scores_loop(X, k))
 
     @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(seed=hs.integers(0, 2**32 - 1), n_distinct=hs.integers(1, 25),
-           n=hs.integers(2, 60), dim=hs.integers(1, 3),
-           grid=hs.sampled_from([None, 1.0, 0.5]),
-           k=hs.integers(1, 12), rows=hs.integers(1, 64))
+    @given(rows=hs.integers(1, 64), **_SETS)
     def test_small_sets_with_forced_duplicates(self, seed, n_distinct, n,
                                                dim, grid, k, rows):
-        rng = np.random.default_rng(seed)
-        distinct = rng.normal(scale=3.0, size=(n_distinct, dim))
-        if grid is not None:
-            distinct = np.round(distinct / grid) * grid
-        X = distinct[rng.integers(0, n_distinct, size=n)]
+        X = _with_duplicates(seed, n_distinct, n, dim, grid)
         k = min(k, n - 1)
-        with mock.patch.object(baselines, "_BLOCK_ENTRIES", rows * n):
+        with mock.patch.object(baselines, "_BLOCK_ENTRIES",
+                               rows * _distinct(X)):
             got = lof_scores(X, LofConfig(k_neighbors=k))
-        assert np.array_equal(got, lof_scores_loop(X, k, chunk=rows))
+        assert np.array_equal(got, lof_scores_loop(X, k))
+
+
+class TestLofProperties:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(order_seed=hs.integers(0, 2**32 - 1), **_SETS)
+    def test_permuting_points_permutes_scores(self, order_seed, seed,
+                                              n_distinct, n, dim, grid, k):
+        X = _with_duplicates(seed, n_distinct, n, dim, grid)
+        cfg = LofConfig(k_neighbors=min(k, n - 1))
+        perm = np.random.default_rng(order_seed).permutation(n)
+        assert np.array_equal(lof_scores(X[perm], cfg),
+                              lof_scores(X, cfg)[perm])
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(entries=hs.integers(1, 40_000), **{
+        **_SETS, "n_distinct": hs.integers(1, 80), "n": hs.integers(2, 300)})
+    def test_any_block_size_gives_the_same_scores(self, entries, seed,
+                                                  n_distinct, n, dim, grid, k):
+        # a BLAS product's rounding would depend on the block height
+        X = _with_duplicates(seed, n_distinct, n, dim, grid)
+        cfg = LofConfig(k_neighbors=min(k, n - 1))
+        whole = lof_scores(X, cfg)
+        with mock.patch.object(baselines, "_BLOCK_ENTRIES", entries):
+            assert np.array_equal(lof_scores(X, cfg), whole)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(**_SETS)
+    def test_equal_points_get_equal_scores(self, seed, n_distinct, n, dim,
+                                           grid, k):
+        X = _with_duplicates(seed, n_distinct, n, dim, grid)
+        scores = lof_scores(X, LofConfig(k_neighbors=min(k, n - 1)))
+        _, first, inv = np.unique(X, axis=0, return_index=True,
+                                  return_inverse=True)
+        assert np.array_equal(scores, scores[first][inv.reshape(-1)])
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(seed=hs.integers(0, 2**32 - 1), k=hs.integers(1, 20),
+           extra=hs.integers(1, 30), n_other=hs.integers(0, 40),
+           dim=hs.integers(1, 3))
+    def test_more_than_k_copies_score_exactly_one(self, seed, k, extra,
+                                                  n_other, dim):
+        # k + extra copies: each sees at least k others at the floor, so
+        # its neighbors are its copies alone, all of its own density
+        rng = np.random.default_rng(seed)
+        point = rng.normal(size=(1, dim))
+        X = np.vstack([np.repeat(point, k + extra, axis=0),
+                       rng.normal(size=(n_other, dim))])
+        X = X[rng.permutation(len(X))]
+        copies = (X == point).all(axis=1)
+        scores = lof_scores(X, LofConfig(k_neighbors=k))
+        assert (scores[copies] == 1.0).all()

@@ -339,8 +339,14 @@ class TestExitCodes:
         lambda m: {**m, "hyper": [m["hyper"]]},
         lambda m: {**m, "k": "2"},
         lambda m: {**m, "k": 3},
+        lambda m: {**m, "scaling": {**m["scaling"], "mins": ["-2.0", True]}},
+        lambda m: {**m, "scaling": {**m["scaling"],
+                                    "maxs": [float("inf")] * 2}},
+        lambda m: {**m, "scaling": [m["scaling"]]},
+        lambda m: {k: v for k, v in m.items() if k != "scaling"},
     ], ids=["no-hyper", "no-k", "unknown-hyper-key", "hyper-missing-key",
-            "float-window-length", "hyper-list", "k-string", "k-mismatch"])
+            "float-window-length", "hyper-list", "k-string", "k-mismatch",
+            "scaling-strings", "scaling-inf", "scaling-list", "no-scaling"])
     def test_malformed_model_meta_is_validation(self, ws, tmp_path, capsys,
                                                 mutate):
         meta, blocks = model_io.load_arrays(ws["model"],
@@ -442,6 +448,54 @@ class TestExitCodes:
         assert err == ("canids: numeric error: record 40 holds a non-finite "
                        "payload\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-1e999"])
+    def test_non_finite_cell_in_eval_trace_is_runtime(self, ws, tmp_path,
+                                                      capsys, cell):
+        # refused before any baseline runs: SMA, EWMA and LOF would score
+        # NaN rows, with numpy warnings on the way
+        bad = _with_nan_cell(ws["attacked"], tmp_path / "attacked_bad.csv",
+                             cell=cell)
+        out = tmp_path / "reports"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["eval", "--detections", str(ws["out_diff"]),
+                       "--truth", str(ws["manifest"]), "--out", str(out),
+                       "--trace", str(bad), "--config", str(ws["cfg"])])
+        assert [str(w.message) for w in caught] == []
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "canids: numeric error: record 40 holds a non-finite payload\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_config_float_is_validation(self, tmp_path, capsys,
+                                                   literal):
+        # NaN used to fail later without the key, Infinity as exit 2
+        cfg = tmp_path / "bad.json"
+        doc = _config_doc()
+        doc["generation"]["train_duration_s"] = "@"
+        cfg.write_text(json.dumps(doc).replace('"@"', literal))
+        out = tmp_path / "train.csv"
+        capsys.readouterr()
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_VALIDATION
+        value = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}[literal]
+        assert capsys.readouterr().err == (
+            f"canids: config error: generation.train_duration_s: {value} "
+            "is not a finite number\n")
+        assert not out.exists()
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin.json"
+        cfg.write_bytes(json.dumps(_config_doc()).encode()[:10] + b"\xff")
+        capsys.readouterr()
+        assert main(["gen", "--config", str(cfg), "--out",
+                     str(tmp_path / "t.csv")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"canids: config error: {cfg}: not UTF-8 text (invalid start "
+            "byte at byte 10)\n")
 
     def test_unwritable_output_is_runtime(self, ws, tmp_path):
         # --out pointing at an existing directory: an I/O failure, not a

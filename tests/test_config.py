@@ -121,6 +121,17 @@ class TestLoadDict:
         with pytest.raises(ConfigError, match="seed.*expected int"):
             load_config_dict(doc)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_float_names_key(self, value):
+        # Python's json reads NaN and Infinity literals
+        doc = _full_doc()
+        doc["generation"]["train_duration_s"] = value
+        with pytest.raises(ConfigError, match=(
+                r"^generation\.train_duration_s: -?(nan|inf) is not a "
+                r"finite number$")):
+            load_config_dict(doc)
+
     def test_bool_is_not_a_number(self):
         doc = _full_doc()
         doc["seed"] = True
@@ -233,6 +244,13 @@ class TestLoadFile:
         p = tmp_path / "bad.json"
         p.write_text('{\n  "seed": 1,\n  oops\n}')
         with pytest.raises(ConfigError, match="line 3"):
+            load_config(p)
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        p = tmp_path / "latin.json"
+        p.write_bytes(b'{"seed": \xff}')
+        with pytest.raises(ConfigError, match=(
+                f"^{p}: not UTF-8 text \\(invalid start byte at byte 9\\)$")):
             load_config(p)
 
     def test_non_object_top_level(self, tmp_path):
