@@ -6,9 +6,10 @@ Each command validates its inputs before writing anything. Exit codes:
 malformed input files), 2 runtime failure (training divergence, a
 non-finite value met in scoring, I/O errors mid-write).
 
-Every output file carries a provenance header: tool version, config
-hash, and the seed in effect. Headers deliberately omit wall-clock
-timestamps so reruns with identical inputs are byte-identical.
+Traces, models, detection tables and disposition logs carry a provenance
+header: tool version, config hash and seed (`detect` and `simulate` copy
+both from the model). Headers omit wall-clock time, so reruns with
+identical inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -34,6 +36,7 @@ from .traces import (
     load_trace,
     read_text,
     save_scaling,
+    table_text,
     write_trace,
 )
 
@@ -49,25 +52,29 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
-def _provenance(cfg: ExperimentConfig | None = None, seed: int | None = None,
-                **extra) -> dict:
-    prov = {"tool": f"canids {__version__}"}
-    if cfg is not None:
-        prov["config_hash"] = cfg.config_hash
-        prov["seed"] = cfg.seed if seed is None else seed
-    elif seed is not None:
-        prov["seed"] = seed
-    prov.update(extra)
-    return prov
+@dataclass(frozen=True)
+class _Provenance:
+    """A model file's provenance block, as `train` writes it."""
+
+    tool: str
+    config_hash: str
+    seed: int
 
 
-def _schema_from_meta(meta: dict, path) -> MessageSchema:
-    return from_json(MessageSchema, meta.get("schema"), f"{path}: schema",
-                     complete=True)
+def _provenance(src: ExperimentConfig | _Provenance, **extra) -> dict:
+    """An output file's provenance: this tool, the config hash and seed of
+    the config or model file it derives from, then `extra`."""
+    return {"tool": f"canids {__version__}", "config_hash": src.config_hash,
+            "seed": src.seed, **extra}
 
 
-def _scaling_from_meta(meta: dict, schema: MessageSchema,
-                       path) -> ScalingParams:
+def _load_model(path) -> tuple[pr.PredictorModel, MessageSchema,
+                               ScalingParams, _Provenance]:
+    """A model file written by `train`: the predictor and its checked
+    schema, scaling and provenance blocks."""
+    model, meta = pr.load_model_file(path)
+    schema = from_json(MessageSchema, meta.get("schema"), f"{path}: schema",
+                       complete=True)
     d = meta.get("scaling")
     if type(d) is not dict:
         raise ValueError(
@@ -77,10 +84,13 @@ def _scaling_from_meta(meta: dict, schema: MessageSchema,
     mins, maxs = (json_value(d.get(key), tuple[float, ...], f"{where}.{key}")
                   for key in ("mins", "maxs"))
     try:
-        return ScalingParams(signal_names=tuple(schema.signal_names),
-                             mins=mins, maxs=maxs)
+        scaling = ScalingParams(signal_names=tuple(schema.signal_names),
+                                mins=mins, maxs=maxs)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+    prov = from_json(_Provenance, meta.get("provenance"),
+                     f"{path}: provenance", complete=True)
+    return model, schema, scaling, prov
 
 
 # --------------------------------------------------------------------------
@@ -141,9 +151,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_fit_detector(args) -> int:
-    model, meta = pr.load_model_file(args.model)
-    schema = _schema_from_meta(meta, args.model)
-    scaling = _scaling_from_meta(meta, schema, args.model)
+    model, schema, scaling, _ = _load_model(args.model)
     if args.config:
         detcfg = load_config(args.config).detector
     else:
@@ -165,20 +173,12 @@ def cmd_fit_detector(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    model, meta = pr.load_model_file(args.model)
-    schema = _schema_from_meta(meta, args.model)
-    scaling = _scaling_from_meta(meta, schema, args.model)
+    model, schema, scaling, src = _load_model(args.model)
     detector, variant = det.load_detector(args.detector)
     trace = load_trace(args.trace, schema)
     table = pl.detect_with(model, scaling, detector, variant, trace,
                            tolerance_fraction=args.tolerance)
-    prov = {"tool": f"canids {__version__}"}
-    src = meta.get("provenance", {})
-    if "config_hash" in src:
-        prov["config_hash"] = src["config_hash"]
-    if "seed" in src:
-        prov["seed"] = src["seed"]
-    Path(args.out).write_text(pl.detection_csv(table, provenance=prov))
+    Path(args.out).write_text(pl.detection_csv(table, _provenance(src)))
     flagged = int(table.final_flag.sum())
     print(f"scored {len(table)} records with variant {variant}: "
           f"{flagged} flagged")
@@ -201,8 +201,6 @@ def cmd_eval(args) -> int:
     reports: dict[str, mx.AttackReport] = {}
     tables: dict[str, pl.DetectionTable] = {}
     for path in args.detections:
-        if not Path(path).exists():
-            raise FileNotFoundError(f"detections file not found: {path}")
         table = pl.parse_detection_csv(read_text(path), path=str(path))
         if table.message_id != mid:
             raise ValueError(
@@ -217,21 +215,16 @@ def cmd_eval(args) -> int:
             raise ValueError("--trace (baseline scoring) requires --config")
         cfg = _load_cfg(args)
         attacked = load_trace(args.trace, cfg.schema)
-        eval_from = next(iter(tables.values())).eval_from if tables \
-            else cfg.hyper.subsequence_length
+        eval_from = next(iter(tables.values())).eval_from
         for name, rep in pl.baseline_reports(cfg, attacked, specs,
                                              eval_from=eval_from).items():
             reports[_unique_key(name, set(reports))] = rep
 
-    if not reports:
-        raise ValueError("nothing to evaluate: no --detections given")
     out_dir.mkdir(parents=True, exist_ok=True)
     for key, rep in reports.items():
         (out_dir / f"report-{key}.txt").write_text(mx.report_text(rep, key))
-        rows = mx.report_rows(rep, key)
-        csv = "metric,attack_kind,value\n" + "\n".join(
-            ",".join(r) for r in rows) + "\n"
-        (out_dir / f"report-{key}.csv").write_text(csv)
+        (out_dir / f"report-{key}.csv").write_text(table_text(
+            "metric,attack_kind,value", mx.report_rows(rep, key)))
         if rep.roc_points:
             (out_dir / f"roc-{key}.csv").write_text(mx.roc_csv(rep.roc_points))
     comparison = mx.variant_table(reports)
@@ -242,9 +235,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model, meta = pr.load_model_file(args.model)
-    schema = _schema_from_meta(meta, args.model)
-    scaling = _scaling_from_meta(meta, schema, args.model)
+    model, schema, scaling, src = _load_model(args.model)
     detector, variant = det.load_detector(args.detector)
     trace = load_trace(args.trace, schema)
     config = OnlineConfig(tolerance_fraction=args.tolerance,
@@ -252,8 +243,8 @@ def cmd_simulate(args) -> int:
     dispositions = run_online(zip(trace.timestamps, trace.signals), model,
                               detector, variant, scaling,
                               schema.nominal_period_ms, config)
-    prov = {"tool": f"canids {__version__}", "variant": variant}
-    Path(args.out).write_text(dispositions_csv(dispositions, provenance=prov))
+    Path(args.out).write_text(
+        dispositions_csv(dispositions, _provenance(src, variant=variant)))
     counts: dict[str, int] = {}
     for d in dispositions:
         counts[d.disposition] = counts.get(d.disposition, 0) + 1

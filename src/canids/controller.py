@@ -40,7 +40,7 @@ import numpy as np
 
 from .detector import OcsvmModel, Scorer, StaticThreshold
 from .predictor import PredictorModel, predict_last_batch
-from .traces import ScalingParams, _fmt
+from .traces import ScalingParams, float_text, table_text
 
 DISPOSITIONS = ("Delivered", "DroppedAnomalous", "DroppedRateViolation")
 
@@ -251,10 +251,9 @@ def run_online(stream, model: PredictorModel,
 
 def dispositions_csv(dispositions: list[FrameDisposition],
                      provenance: dict | None = None) -> str:
-    """The disposition log in its documented CSV form."""
-    lines = [f"# {k}: {v}" for k, v in (provenance or {}).items()]
-    lines.append("timestamp,disposition,score")
-    for d in dispositions:
-        score = "" if d.score is None else _fmt(d.score)
-        lines.append(f"{_fmt(d.timestamp)},{d.disposition},{score}")
-    return "\n".join(lines) + "\n"
+    """The disposition log in its documented CSV form; an unscored frame
+    has an empty score cell."""
+    rows = ((float_text(d.timestamp), d.disposition,
+             "" if d.score is None else float_text(d.score))
+            for d in dispositions)
+    return table_text("timestamp,disposition,score", rows, provenance)

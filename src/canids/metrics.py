@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tracegen import AttackSpec
+from .traces import table_text
 
 
 @dataclass(frozen=True)
@@ -293,5 +294,4 @@ def variant_table(reports: dict[str, AttackReport]) -> str:
 
 
 def roc_csv(points: list[tuple[float, float]]) -> str:
-    lines = ["fpr,tpr"] + [f"{x:.9g},{y:.9g}" for x, y in points]
-    return "\n".join(lines) + "\n"
+    return table_text("fpr,tpr", ((f"{x:.9g}", f"{y:.9g}") for x, y in points))

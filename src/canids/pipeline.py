@@ -10,6 +10,7 @@ the randomness of another.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,12 @@ from .tracegen import AttackSpec, generate_normal, inject_suite
 from .traces import (
     ScalingParams,
     Trace,
-    _fmt,
     apply_scaling,
     fit_and_scale,
+    float_text,
+    read_table,
     split_train_val,
+    table_text,
     window_arrays,
 )
 
@@ -281,60 +284,55 @@ _TABLE_HEADER = ("timestamp,label,score,ml_flag,rate_fast,rate_slow,"
 _BITS = frozenset(("0", "1"))
 
 
+def _variant(value: str) -> str:
+    # eval names its report files after the variant
+    if value not in det.VARIANTS:
+        raise ValueError(value)
+    return value
+
+
+# the provenance keys a detection table needs, and how each value parses
+_TABLE_KEYS = {"message_id": lambda v: int(v, 0), "variant": _variant,
+               "eval_from": int}
+
+
 def detection_csv(table: DetectionTable, provenance: dict | None = None) -> str:
-    lines = [f"# {k}: {v}" for k, v in (provenance or {}).items()]
-    lines.append(f"# message_id: {table.message_id:#x}")
-    lines.append(f"# variant: {table.variant}")
-    lines.append(f"# eval_from: {table.eval_from}")
-    lines.append(_TABLE_HEADER)
-    for i in range(len(table)):
-        score = "" if np.isnan(table.scores[i]) else _fmt(table.scores[i])
-        lines.append(
-            f"{_fmt(table.timestamps[i])},{int(table.labels[i])},{score},"
-            f"{int(table.ml_flag[i])},{int(table.rate_fast[i])},"
-            f"{int(table.rate_slow[i])},{int(table.final_flag[i])}")
-    return "\n".join(lines) + "\n"
+    """The detection table in its documented CSV form; an unscored record
+    has an empty score cell."""
+    prov = {**(provenance or {}), "message_id": f"{table.message_id:#x}",
+            "variant": table.variant, "eval_from": table.eval_from}
+    bits = np.column_stack([table.labels, table.ml_flag, table.rate_fast,
+                            table.rate_slow, table.final_flag]).astype(str)
+    rows = ((float_text(ts), label, "" if math.isnan(s) else float_text(s),
+             *flags) for ts, s, (label, *flags) in zip(
+                 table.timestamps.tolist(), table.scores.tolist(),
+                 bits.tolist()))
+    return table_text(_TABLE_HEADER, rows, prov)
 
 
 def parse_detection_csv(text: str, path: str = "<detections>") -> DetectionTable:
-    """Read a detection table back. A malformed provenance value, header or
-    row, or a label or flag other than 0 and 1, raises ValueError naming
-    path:line."""
-    message_id = None
-    variant = None
-    eval_from = None
+    """Read a detection table back. Besides what `read_table` rejects, a
+    malformed provenance value (a variant not in VARIANTS included) or row,
+    or a label or flag other than 0 and 1, raises ValueError naming
+    path:line; an eval_from outside the records raises one naming path."""
+    comments, rows = read_table(path, _TABLE_HEADER, 7, text=text)
+    prov = {}
+    for lineno, key, value in comments:
+        if key in _TABLE_KEYS:
+            try:
+                prov[key] = _TABLE_KEYS[key](value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed {key} "
+                                 f"{value!r}") from None
+    if len(prov) != len(_TABLE_KEYS):
+        raise ValueError(
+            f"{path}: missing message_id/variant/eval_from provenance")
+    if not 0 <= prov["eval_from"] < len(rows):
+        raise ValueError(f"{path}: eval_from {prov['eval_from']} is outside "
+                         f"the {len(rows)} records")
     stamps: list[float] = []
     scores: list[float] = []
-    rows = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            for key in ("message_id", "variant", "eval_from"):
-                if body.startswith(f"{key}:"):
-                    value = body.split(":", 1)[1].strip()
-                    try:
-                        if key == "message_id":
-                            message_id = int(value, 0)
-                        elif key == "variant":
-                            variant = value
-                        else:
-                            eval_from = int(value)
-                    except ValueError:
-                        raise ValueError(f"{path}:{lineno}: malformed {key} "
-                                         f"{value!r}") from None
-            continue
-        if not header_seen:
-            if line != _TABLE_HEADER:
-                raise ValueError(f"{path}:{lineno}: bad header")
-            header_seen = True
-            continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise ValueError(f"{path}:{lineno}: expected 7 columns")
+    for lineno, fields in rows:
         if fields[1] not in _BITS or not _BITS.issuperset(fields[3:]):
             raise ValueError(
                 f"{path}:{lineno}: label and flags must be 0 or 1")
@@ -344,17 +342,10 @@ def parse_detection_csv(text: str, path: str = "<detections>") -> DetectionTable
         except ValueError as exc:
             raise ValueError(
                 f"{path}:{lineno}: malformed row: {exc}") from None
-        rows.append(fields)
-    if message_id is None or variant is None or eval_from is None:
-        raise ValueError(
-            f"{path}: missing message_id/variant/eval_from provenance")
-    if not rows:
-        raise ValueError(f"{path}: no records")
     labels, ml, fast, slow, final = (
-        np.array([r[i] == "1" for r in rows], dtype=np.int64)
+        np.array([fields[i] == "1" for _, fields in rows], dtype=np.int64)
         for i in (1, 3, 4, 5, 6))
-    return DetectionTable(message_id=message_id, variant=variant,
-                          eval_from=eval_from, timestamps=np.array(stamps),
+    return DetectionTable(**prov, timestamps=np.array(stamps),
                           labels=labels, scores=np.array(scores),
                           ml_flag=ml, rate_fast=fast, rate_slow=slow,
                           final_flag=final)

@@ -427,8 +427,7 @@ def save_model(model: PredictorModel, path,
     model_io.save_arrays(path, "predictor", meta, blocks)
 
 
-def load_model_file(path, expected_k: int | None = None
-                    ) -> tuple[PredictorModel, dict]:
+def load_model_file(path) -> tuple[PredictorModel, dict]:
     """Load a model plus its full header metadata.
 
     A header whose k or hyper block is missing, mistyped or does not fit
@@ -445,9 +444,6 @@ def load_model_file(path, expected_k: int | None = None
         model = PredictorModel(k=k, hyper=hyper, params=blocks)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if expected_k is not None and k != expected_k:
-        raise ValueError(
-            f"{path}: model is for k={k}, expected k={expected_k}")
     return model, meta
 
 

@@ -91,15 +91,6 @@ class SignalGenSpec:
             if self.hold_s is None or self.hold_s <= 0:
                 raise ValueError("step-hold requires positive hold_s")
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "lo": self.lo, "hi": self.hi}
-        for key in ("noise_std", "amplitude", "period_s", "phase", "center",
-                    "step_std", "hold_s"):
-            v = getattr(self, key)
-            if v is not None and not (key in ("noise_std", "phase") and v == 0.0):
-                d[key] = v
-        return d
-
 
 def _walk(rng: np.random.Generator, n: int, start: float, step_std: float,
           lo: float, hi: float) -> np.ndarray:

@@ -10,9 +10,9 @@ Trace file format (one file per message ID)::
 
     timestamp,message_id,k,sig_1,...,sig_k,label
 
-Floats are rendered with `repr`, the shortest string that parses back to
-the identical double; the message ID is in hex.
-Lines starting with '#' are provenance comments and are skipped.
+in the CSV layout every table shares ('#' provenance lines, a header,
+rows; see `table_text`). Floats are rendered by `float_text`; the message
+ID is in hex.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import functools
 import math
 import types
 import typing
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,7 +162,8 @@ class MessageSchema:
 
 @dataclass(frozen=True)
 class ScalingParams:
-    """Per-signal (min, max) pairs for 0-1 scaling; every bound is finite."""
+    """Per-signal (min, max) pairs for 0-1 scaling; every bound is finite,
+    and each signal has one name of its own."""
 
     mins: np.ndarray
     maxs: np.ndarray
@@ -179,6 +181,11 @@ class ScalingParams:
         if not self.signal_names:
             names = tuple(f"sig_{i + 1}" for i in range(len(mins)))
             object.__setattr__(self, "signal_names", names)
+        if len(self.signal_names) != len(mins):
+            raise ValueError(f"expected {len(mins)} signal names, "
+                             f"got {len(self.signal_names)}")
+        if len(set(self.signal_names)) != len(mins):
+            raise ValueError("signal names must be distinct")
         bad = ~(np.isfinite(mins) & np.isfinite(maxs))
         if bad.any():
             names = ", ".join(n for n, b in zip(self.signal_names, bad) if b)
@@ -253,13 +260,26 @@ class Trace:
 
 
 # --------------------------------------------------------------------------
-# file io
+# file io: every CSV table the tools write and read goes through
+# `table_text` and `read_table`
 
 
-def _fmt(x: float) -> str:
-    # repr of a Python float is the shortest string that parses back to
-    # the identical double, so trace files round-trip bit-exact
+def float_text(x: float) -> str:
+    """A float as a table cell: `repr`, the shortest string that parses
+    back to the identical double, so tables round-trip bit-exact."""
     return repr(float(x))
+
+
+def table_text(header: str | None, rows: Iterable[Sequence[str]],
+               provenance: dict | None = None) -> str:
+    """A table in the one CSV layout: a '# key: value' line per provenance
+    entry, the header (None for a table without one), then one line per
+    row, its cells joined by commas."""
+    lines = [f"# {key}: {value}" for key, value in (provenance or {}).items()]
+    if header is not None:
+        lines.append(header)
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _header(k: int) -> str:
@@ -268,22 +288,15 @@ def _header(k: int) -> str:
 
 
 def write_trace(trace: Trace, path: str | Path, provenance: dict | None = None) -> None:
-    """Write a trace in the documented CSV format.
-
-    Provenance entries become '# key: value' comment lines above the header.
-    """
+    """Write a trace in the documented CSV format, with `provenance` as
+    its '# key: value' lines."""
     k = trace.schema.signal_count
-    lines = []
-    for key, value in (provenance or {}).items():
-        lines.append(f"# {key}: {value}")
-    lines.append(_header(k))
-    mid = f"{trace.schema.message_id:#x}"
-    for i in range(len(trace)):
-        sigs = ",".join(_fmt(v) for v in trace.signals[i])
-        lines.append(
-            f"{_fmt(trace.timestamps[i])},{mid},{k},{sigs},{int(trace.labels[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    ids = (f"{trace.schema.message_id:#x}", str(k))
+    rows = ((float_text(ts), *ids, *map(float_text, sigs), str(label))
+            for ts, sigs, label in zip(trace.timestamps.tolist(),
+                                       trace.signals.tolist(),
+                                       trace.labels.tolist()))
+    Path(path).write_text(table_text(_header(k), rows, provenance))
 
 
 def read_text(path: str | Path) -> str:
@@ -296,39 +309,60 @@ def read_text(path: str | Path) -> str:
                          f"{exc.start})") from None
 
 
+def read_table(path: str | Path, header: str | None, n_cols: int,
+               text: str | None = None) -> tuple[list, list]:
+    """The '# key: value' comments, as (line, key, value), and the rows,
+    as (line, cells), of a `table_text` table at `path` (or in `text`, its
+    contents already read). Blank and '#' lines are skipped; the first
+    other line must be `header` (unless None) and every later one a row of
+    `n_cols` cells. Bytes that are not UTF-8, a bad header, a row of
+    another width and no rows at all raise ValueError naming path or
+    path:line."""
+    if text is None:
+        text = read_text(path)
+    comments, rows = [], []
+    want_header = header is not None
+    # read_text has turned every line ending into '\n'; splitlines() would
+    # also break at form feeds and other separators inside a line
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == "#":
+            key, colon, value = line[1:].partition(":")
+            if colon:
+                comments.append((lineno, key.strip(), value.strip()))
+            continue
+        if want_header:
+            if line != header:
+                raise ValueError(
+                    f"{path}:{lineno}: bad header, expected '{header}'")
+            want_header = False
+            continue
+        cells = line.split(",")
+        if len(cells) != n_cols:
+            raise ValueError(f"{path}:{lineno}: expected {n_cols} columns, "
+                             f"got {len(cells)}")
+        rows.append((lineno, cells))
+    if not rows:
+        raise ValueError(f"{path}: no records")
+    return comments, rows
+
+
 def load_trace(path: str | Path, schema: MessageSchema) -> Trace:
     """Parse a trace CSV, validating it against the schema.
 
-    Rows are rejected (with an error naming path:line) on: wrong column
-    count, non-numeric values, a message_id not matching the schema, a
-    signal count not equal to the schema's, labels outside {0, 1}, a NaN
-    or infinite timestamp, or decreasing timestamps.
+    Besides what `read_table` rejects, rows are rejected (with an error
+    naming path:line) on: non-numeric values, a message_id not matching
+    the schema, a signal count not equal to the schema's, labels outside
+    {0, 1}, a NaN or infinite timestamp, or decreasing timestamps.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"trace file not found: {path}")
     k = schema.signal_count
-    expected_cols = k + 4
+    _, rows = read_table(path, _header(k), k + 4)
     timestamps: list[float] = []
     signals: list[list[float]] = []
     labels: list[int] = []
-    header_seen = False
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != _header(k):
-                raise ValueError(
-                    f"{path}:{lineno}: bad header, expected '{_header(k)}'"
-                )
-            header_seen = True
-            continue
-        fields = line.split(",")
-        if len(fields) != expected_cols:
-            raise ValueError(
-                f"{path}:{lineno}: expected {expected_cols} columns, got {len(fields)}"
-            )
+    for lineno, fields in rows:
         try:
             ts = float(fields[0])
             mid = int(fields[1], 0)
@@ -353,8 +387,6 @@ def load_trace(path: str | Path, schema: MessageSchema) -> Trace:
         timestamps.append(ts)
         signals.append(sigs)
         labels.append(label)
-    if not timestamps:
-        raise ValueError(f"{path}: no records")
     return Trace(
         schema=schema,
         timestamps=np.array(timestamps),
@@ -364,30 +396,29 @@ def load_trace(path: str | Path, schema: MessageSchema) -> Trace:
 
 
 def save_scaling(params: ScalingParams, path: str | Path) -> None:
-    """Write the scaling sidecar: one 'signal_name,min,max' line per signal."""
-    lines = [
-        f"{name},{_fmt(lo)},{_fmt(hi)}"
-        for name, lo, hi in zip(params.signal_names, params.mins, params.maxs)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the scaling sidecar: a 'signal_name,min,max' row per signal."""
+    rows = ((name, float_text(lo), float_text(hi)) for name, lo, hi
+            in zip(params.signal_names, params.mins.tolist(),
+                   params.maxs.tolist()))
+    Path(path).write_text(table_text(None, rows))
 
 
 def load_scaling(path: str | Path) -> ScalingParams:
-    path = Path(path)
+    """Read the scaling sidecar; a malformed bound or one ScalingParams
+    refuses raises ValueError naming path:line or path."""
+    _, rows = read_table(path, None, 3)
     names, mins, maxs = [], [], []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'signal_name,min,max'")
-        names.append(fields[0])
-        mins.append(float(fields[1]))
-        maxs.append(float(fields[2]))
-    if not names:
-        raise ValueError(f"{path}: no scaling entries")
-    return ScalingParams(np.array(mins), np.array(maxs), tuple(names))
+    for lineno, (name, lo, hi) in rows:
+        try:
+            mins.append(float(lo))
+            maxs.append(float(hi))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+        names.append(name)
+    try:
+        return ScalingParams(np.array(mins), np.array(maxs), tuple(names))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------

@@ -199,6 +199,11 @@ class TestPipelineArtifacts:
         header_at = next(i for i, ln in enumerate(lines)
                          if not ln.startswith("#"))
         assert lines[header_at] == "timestamp,disposition,score"
+        # the config hash and seed come from the model's provenance
+        cfg = load_config(ws["cfg"])
+        assert lines[1:header_at] == [f"# config_hash: {cfg.config_hash}",
+                                      f"# seed: {cfg.seed}",
+                                      "# variant: Diff"]
         dispositions = {ln.split(",")[1] for ln in lines[header_at + 1:]}
         assert "Delivered" in dispositions
         # the DDoS flood segment must trip the rate check
@@ -344,9 +349,13 @@ class TestExitCodes:
                                     "maxs": [float("inf")] * 2}},
         lambda m: {**m, "scaling": [m["scaling"]]},
         lambda m: {k: v for k, v in m.items() if k != "scaling"},
+        lambda m: {**m, "provenance": "canids"},
+        lambda m: {**m, "provenance": [m["provenance"]]},
+        lambda m: {**m, "provenance": 7},
     ], ids=["no-hyper", "no-k", "unknown-hyper-key", "hyper-missing-key",
             "float-window-length", "hyper-list", "k-string", "k-mismatch",
-            "scaling-strings", "scaling-inf", "scaling-list", "no-scaling"])
+            "scaling-strings", "scaling-inf", "scaling-list", "no-scaling",
+            "provenance-string", "provenance-list", "provenance-number"])
     def test_malformed_model_meta_is_validation(self, ws, tmp_path, capsys,
                                                 mutate):
         meta, blocks = model_io.load_arrays(ws["model"],

@@ -445,11 +445,19 @@ class TestDetectionCsv:
             parse_detection_csv(text, "x.csv")
 
     @pytest.mark.parametrize("line", ["# message_id: 0x5g",
-                                      "# eval_from: two"])
+                                      "# eval_from: two",
+                                      "# variant: Diff/x"])
     def test_malformed_provenance_names_its_line(self, line):
+        # every occurrence is checked, not only the last, which is valid
         text = line + "\n" + detection_csv(_tiny_table())
         with pytest.raises(ValueError, match=r"x\.csv:1: malformed"):
             parse_detection_csv(text, "x.csv")
+
+    @pytest.mark.parametrize("eval_from", [-1, 4])
+    def test_eval_from_outside_the_records_names_the_file(self, eval_from):
+        t = dataclasses.replace(_tiny_table(), eval_from=eval_from)
+        with pytest.raises(ValueError, match=r"x\.csv: eval_from .* outside"):
+            parse_detection_csv(detection_csv(t), "x.csv")
 
     def test_provenance_required(self):
         t = _tiny_table()

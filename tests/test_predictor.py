@@ -301,13 +301,6 @@ class TestSerialization:
         with pytest.raises(ValueError, match="override"):
             save_model(m, tmp_path / "m.canids", extra_meta={"k": 5})
 
-    def test_expected_k_mismatch_rejected(self, tmp_path):
-        m = build_model(k=2, hyper=TINY, seed=0)
-        path = tmp_path / "m.canids"
-        save_model(m, path)
-        with pytest.raises(ValueError, match="k=2"):
-            load_model_file(path, expected_k=4)
-
     def test_file_holding_non_finite_weights_rejected(self, tmp_path):
         path = tmp_path / "m.canids"
         save_model(build_model(k=2, hyper=TINY, seed=0), path)

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
+from canids.detector import VARIANTS
+from canids.pipeline import DetectionTable, detection_csv, parse_detection_csv
 from canids.traces import (
     MessageSchema,
     ScalingParams,
@@ -13,8 +17,10 @@ from canids.traces import (
     json_value,
     load_scaling,
     load_trace,
+    read_table,
     save_scaling,
     split_train_val,
+    table_text,
     window_arrays,
     write_trace,
 )
@@ -273,6 +279,129 @@ class TestScaling:
         p.write_text("sig_1,0.0,1.0\nsig_2,nan,nan\n")
         with pytest.raises(ValueError, match="sig_2"):
             load_scaling(p)
+
+    @pytest.mark.parametrize("data, match", [
+        (b"sig_1,0.0,1.0\nsig_2,0.\xff,1.0\n", r"s\.csv: not UTF-8 text"),
+        (b"sig_1,0.0,1.0\nsig_2,x,1.0\n",
+         r"s\.csv:2: malformed row: could not convert"),
+        (b"sig_1,0.0,1.0\nsig_2,nan,1.0\n",
+         r"s\.csv: non-finite min or max for signal\(s\) sig_2$"),
+        (b"sig_1,0.0,inf\n", r"s\.csv: non-finite min or max"),
+        (b"sig_1,0.0,1.0\nsig_1,0.0,2.0\n",
+         r"s\.csv: signal names must be distinct"),
+        (b"sig_1,2.0,1.0\n", r"s\.csv: per-signal min must not exceed max"),
+        (b"sig_1,0.0,1.0\nsig_2,0.0\n", r"s\.csv:2: expected 3 columns, got 2"),
+        (b"# a comment\n\n", r"s\.csv: no records"),
+    ], ids=["non-utf8", "malformed-float", "nan-bound", "inf-bound",
+            "repeated-name", "min-above-max", "short-row", "no-rows"])
+    def test_bad_sidecar_names_the_file(self, tmp_path, data, match):
+        p = tmp_path / "s.csv"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match=match):
+            load_scaling(p)
+
+    def test_one_name_per_signal_required(self):
+        # with a name missing, the sidecar would silently drop a signal
+        with pytest.raises(ValueError, match="expected 2 signal names"):
+            ScalingParams(signal_names=("a",), mins=(0.0, 1.0),
+                          maxs=(1.0, 2.0))
+
+
+class TestTableCodec:
+    def test_comments_and_rows_keep_their_line_numbers(self):
+        text = table_text("h1,h2", [("1", "")], {"tool": "canids 0"})
+        text = text.replace("h1,h2\n", "# free\x0ctext\u2028\n\nh1,h2\n"
+                                        "# seed: 7\n")
+        comments, rows = read_table("t.csv", "h1,h2", 2, text=text)
+        assert comments == [(1, "tool", "canids 0"), (5, "seed", "7")]
+        assert rows == [(6, ["1", ""])]
+
+
+# finite floats with the cases a table must keep bit for bit: signed zeros,
+# subnormals and Unix-epoch stamps (bounded so that differences of two
+# stamps stay finite)
+_FLOATS = hs.one_of(
+    hs.floats(-1e300, 1e300),
+    hs.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7e9 + 0.015]),
+    hs.floats(1.5e9, 2.0e9))
+_ROUND_TRIP = settings(max_examples=60, derandomize=True, deadline=None,
+                       suppress_health_check=[
+                           HealthCheck.function_scoped_fixture])
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class TestTableRoundTrip:
+    """Every table the tools read back returns the values it was written
+    from, bit for bit."""
+
+    @_ROUND_TRIP
+    @given(data=hs.data(), k=hs.integers(1, 3), n=hs.integers(1, 12),
+           mid=hs.integers(0, 0x7FF))
+    def test_trace(self, tmp_path, data, k, n, mid):
+        schema = MessageSchema(message_id=mid, signal_count=k,
+                               nominal_period_ms=15.0)
+        stamps = sorted(data.draw(hs.lists(_FLOATS, min_size=n, max_size=n)))
+        cells = _FLOATS | hs.sampled_from([np.inf, -np.inf])
+        signals = data.draw(hs.lists(hs.lists(cells, min_size=k, max_size=k),
+                                     min_size=n, max_size=n))
+        labels = data.draw(hs.lists(hs.integers(0, 1), min_size=n,
+                                    max_size=n))
+        t = Trace(schema=schema, timestamps=stamps, signals=signals,
+                  labels=labels)
+        p = tmp_path / "t.csv"
+        write_trace(t, p, provenance={"seed": 7})
+        back = load_trace(p, schema)
+        assert _bits(back.timestamps) == _bits(t.timestamps)
+        assert _bits(back.signals) == _bits(t.signals)
+        assert np.array_equal(back.labels, t.labels)
+
+    @_ROUND_TRIP
+    @given(data=hs.data(), n=hs.integers(1, 12),
+           mid=hs.integers(0, 2**29 - 1), variant=hs.sampled_from(VARIANTS))
+    def test_detection_table(self, data, n, mid, variant):
+        # a NaN score is an unscored record, written as an empty cell
+        floats = hs.lists(_FLOATS, min_size=n, max_size=n)
+        scores = data.draw(hs.lists(
+            _FLOATS | hs.sampled_from([np.nan, np.inf, -np.inf]),
+            min_size=n, max_size=n))
+        bits = [np.array(data.draw(hs.lists(hs.integers(0, 1), min_size=n,
+                                            max_size=n))) for _ in range(5)]
+        t = DetectionTable(
+            message_id=mid, variant=variant,
+            eval_from=data.draw(hs.integers(0, n - 1)),
+            timestamps=np.array(data.draw(floats)), labels=bits[0],
+            scores=np.array(scores), ml_flag=bits[1], rate_fast=bits[2],
+            rate_slow=bits[3], final_flag=bits[4])
+        back = parse_detection_csv(detection_csv(t, {"seed": 7}), "d.csv")
+        assert (back.message_id, back.variant, back.eval_from) == \
+            (mid, variant, t.eval_from)
+        assert _bits(back.timestamps) == _bits(t.timestamps)
+        unscored = np.isnan(t.scores)
+        assert np.array_equal(np.isnan(back.scores), unscored)
+        assert _bits(back.scores[~unscored]) == _bits(t.scores[~unscored])
+        for col in ("labels", "ml_flag", "rate_fast", "rate_slow",
+                    "final_flag"):
+            assert np.array_equal(getattr(back, col), getattr(t, col))
+
+    @_ROUND_TRIP
+    @given(names=hs.lists(hs.text("abcXYZ_019.", min_size=1, max_size=6),
+                          min_size=1, max_size=4, unique=True),
+           data=hs.data())
+    def test_scaling_sidecar(self, tmp_path, names, data):
+        pairs = [sorted(data.draw(hs.tuples(_FLOATS, _FLOATS)))
+                 for _ in names]
+        params = ScalingParams(mins=[lo for lo, _ in pairs],
+                               maxs=[hi for _, hi in pairs],
+                               signal_names=tuple(names))
+        p = tmp_path / "s.csv"
+        save_scaling(params, p)
+        back = load_scaling(p)
+        assert back.signal_names == params.signal_names
+        assert _bits(back.mins) == _bits(params.mins)
+        assert _bits(back.maxs) == _bits(params.maxs)
 
 
 class TestSplit:
