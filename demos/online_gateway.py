@@ -55,7 +55,8 @@ def main() -> None:
     train_trace = gen_trace(cfg, "train")
     print("training the predictor (twenty seconds or so)...")
     model, scaling, _ = train_predictor(cfg, train_trace)
-    detector = fit_detector(cfg, model, scaling, train_trace, "Diff")
+    detector = fit_detector(model, scaling, train_trace, "Diff",
+                            cfg.detector)
 
     attacked, _ = inject(cfg, gen_trace(cfg, "test"))
     stream = [(float(t), attacked.signals[i])

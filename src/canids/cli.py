@@ -157,15 +157,15 @@ def cmd_fit_detector(args) -> int:
     else:
         detcfg = DetectorConfig()
     trace = load_trace(args.trace, schema)
-    devs, n_windows = pl.deviations_for(model, scaling, trace, args.variant,
-                                        detcfg)
-    d = pl.fit_detector_on(devs, detcfg, args.variant)
+    d = pl.fit_detector(model, scaling, trace, args.variant, detcfg)
     det.save_detector(d, args.variant, args.out)
+    # one window per record after the first L
+    n_windows = len(trace) - model.hyper.subsequence_length
     if isinstance(d, det.StaticThreshold):
         print(f"fitted static threshold {d.threshold:.6g} "
-              f"on {len(devs)} deviations")
+              f"on {n_windows} deviations")
     else:
-        print(f"fitted one-class SVM on {len(devs)} of {n_windows} "
+        print(f"fitted one-class SVM on {d.n_train} of {n_windows} "
               f"deviations: {len(d.support_vectors)} support "
               f"vectors, rho {d.rho:.6g}, converged {d.converged}")
     print(f"wrote detector to {args.out}")

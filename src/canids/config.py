@@ -21,7 +21,10 @@ message (exit code 1 from the command line).
                           max_iter, max_train_points
     baselines.*           bollinger_window, bollinger_band_width,
                           lof_k, lof_threshold
-    controller.*          tolerance_fraction, substitution
+
+The rate gate's tolerance and the gateway's substitution are not config
+keys: `detect` and `simulate` take --tolerance, and `simulate` takes
+--substitution.
 
 Validation failures raise ConfigError naming the offending key path; JSON
 syntax errors keep the decoder's line/column position.
@@ -34,7 +37,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .controller import OnlineConfig
 from .predictor import PredictorHyper
 from .tracegen import PAYLOAD_MODES, AttackSpec, SignalGenSpec
 from .traces import MessageSchema, from_json, json_value
@@ -128,7 +130,6 @@ class ExperimentConfig:
     train_ratio: float
     detector: DetectorConfig
     baselines: BaselineConfig
-    controller: OnlineConfig
     config_hash: str = ""
     source_path: str = ""
 
@@ -180,7 +181,7 @@ def _parse(doc, config_hash: str, source_path: str) -> ExperimentConfig:
         raise ConfigError("top level must be a JSON object")
     _expect_keys(doc, "config", {
         "seed", "schema", "signals", "generation", "attacks", "predictor",
-        "detector", "baselines", "controller"})
+        "detector", "baselines"})
     for key in ("seed", "schema", "signals"):
         if key not in doc:
             raise ConfigError(f"{key}: required key missing")
@@ -223,8 +224,6 @@ def _parse(doc, config_hash: str, source_path: str) -> ExperimentConfig:
                            "detector"),
         baselines=from_json(BaselineConfig, doc.get("baselines", {}),
                             "baselines"),
-        controller=from_json(OnlineConfig, doc.get("controller", {}),
-                             "controller"),
         config_hash=config_hash, source_path=source_path)
 
 

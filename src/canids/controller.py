@@ -186,6 +186,11 @@ def run_online(stream, model: PredictorModel,
     finite: a frame stamped before the latest time seen, or with a NaN or
     infinite time, is DroppedRateViolation.
 
+    After warm-up, each frame that passes the rate check gets one
+    prediction from the buffered window. That prediction is scored against
+    the frame, and it is what the "prediction" substitution pushes when the
+    frame is dropped.
+
     A frame that passes the rate check but whose scaled payload holds a NaN
     or an infinity is DroppedAnomalous with score None and never enters the
     history buffer. During warm-up nothing is pushed in its place; after
@@ -197,7 +202,7 @@ def run_online(stream, model: PredictorModel,
         raise ValueError(
             f"scaling carries {scaling.signal_count} signals, model expects "
             f"{model.k}")
-    scorer = Scorer(model, detector, variant)
+    scorer = Scorer(detector, variant, model.k)
     L = model.hyper.subsequence_length
     state = RateCheckerState(expected_period_ms=expected_period_ms,
                              tolerance_fraction=config.tolerance_fraction)
@@ -227,11 +232,9 @@ def run_online(stream, model: PredictorModel,
                 score=None, rate_flag=flag, warmup=True))
             continue
         window = buf.window()
-        if finite:
-            scores, preds = scorer.scores(window[None], scaled[None])
-            score, pred = float(scores[0]), preds[0]
-        else:
-            score, pred = None, predict_last_batch(model, window[None])[0]
+        pred = predict_last_batch(model, window[None])[0]
+        score = (float(scorer.scores(pred[None], scaled[None])[0]) if finite
+                 else None)
         if score is None or score < 0.0:
             if config.substitution == "prediction":
                 buf.push(pred)

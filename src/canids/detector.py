@@ -8,9 +8,10 @@ boundary is equivalent to the minimal hypersphere description. The ST
 variant replaces the SVM with a fixed percentile threshold on the
 max-absolute deviation.
 
-Offline detection, detector fitting and the online gateway all take their
-deviations and scores from `deviations` and `Scorer`; `check_pairing` holds
-the rules for which detector serves which variant.
+Nothing here runs the predictor. Its callers predict first and then score:
+offline detection, detector fitting and the online gateway all hand
+predictions and their targets to `deviation_matrix` and `Scorer`;
+`check_pairing` holds the rules for which detector serves which variant.
 
 The SVM dual, minimize 1/2 a^T K a subject to 0 <= a_i <= 1/(nu n) and
 sum a = 1, is solved by a maximal-violating-pair working-set loop. The nu
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model_io
-from .predictor import PredictorModel, predict_last_batch
 from .traces import from_json
 
 VARIANTS = ("ST", "Diff", "Sum", "Avg", "Max")
@@ -38,9 +38,10 @@ VARIANTS = ("ST", "Diff", "Sum", "Avg", "Max")
 
 def deviation_matrix(preds: np.ndarray, actuals: np.ndarray,
                      mode: str) -> np.ndarray:
-    """Row-wise deviations for N messages: Diff is the signed (N, k)
-    pred - actual; Sum, Avg and Max reduce its absolute values to (N, 1),
-    ready to feed a detector."""
+    """Row-wise deviations for N messages in a variant's geometry: Diff is
+    the signed (N, k) pred - actual; Sum, Avg and Max reduce its absolute
+    values to (N, 1), ready to feed a detector. ST thresholds the
+    max-absolute deviation, so it takes Max's geometry."""
     preds = np.asarray(preds, dtype=np.float64)
     actuals = np.asarray(actuals, dtype=np.float64)
     if preds.shape != actuals.shape or preds.ndim != 2:
@@ -53,26 +54,9 @@ def deviation_matrix(preds: np.ndarray, actuals: np.ndarray,
         return a.sum(axis=1, keepdims=True)
     if mode == "Avg":
         return a.mean(axis=1, keepdims=True)
-    if mode == "Max":
+    if mode in ("Max", "ST"):
         return a.max(axis=1, keepdims=True)
     raise ValueError(f"unknown deviation mode {mode!r}")
-
-
-def _predict_deviations(model: PredictorModel, variant: str,
-                        windows: np.ndarray, targets: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    preds = predict_last_batch(model, windows)
-    # ST thresholds the max-absolute deviation
-    mode = variant if variant != "ST" else "Max"
-    return preds, deviation_matrix(preds, targets, mode)
-
-
-def deviations(model: PredictorModel, variant: str, windows: np.ndarray,
-               targets: np.ndarray) -> np.ndarray:
-    """The model's deviations on scaled windows (N, L, k) from their
-    targets (N, k), in the variant's geometry: (N, k) rows for Diff,
-    (N, 1) for the others."""
-    return _predict_deviations(model, variant, windows, targets)[1]
 
 
 # --------------------------------------------------------------------------
@@ -293,29 +277,27 @@ def check_pairing(detector: OcsvmModel | StaticThreshold, variant: str,
 
 @dataclass(frozen=True)
 class Scorer:
-    """One variant's detection chain: predict each window's next row, take
-    the deviation in the variant's geometry, score it with the detector.
+    """One variant's scoring step: take each prediction's deviation from
+    its target in the variant's geometry and score it with the detector.
 
-    Windows and targets are scaled. Scores are positive for normal rows and
-    negative for anomalies. The pairing is checked once, at construction.
+    Predictions and targets are scaled (N, k) rows of a model over k
+    signals. Scores are positive for normal rows and negative for
+    anomalies. The pairing is checked once, at construction.
     """
 
-    model: PredictorModel
     detector: OcsvmModel | StaticThreshold
     variant: str
+    k: int
 
     def __post_init__(self) -> None:
-        check_pairing(self.detector, self.variant, self.model.k)
+        check_pairing(self.detector, self.variant, self.k)
 
-    def scores(self, windows: np.ndarray, targets: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Scores (N,) for windows (N, L, k) against targets (N, k), and
-        the predictions (N, k) they were computed from."""
-        preds, devs = _predict_deviations(self.model, self.variant, windows,
-                                          targets)
+    def scores(self, preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Scores (N,) for predictions (N, k) against targets (N, k)."""
+        devs = deviation_matrix(preds, targets, self.variant)
         if isinstance(self.detector, StaticThreshold):
-            return static_scores(self.detector, devs), preds
-        return decision_values(self.detector, devs), preds
+            return static_scores(self.detector, devs)
+        return decision_values(self.detector, devs)
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Plain numpy, float64 everywhere: the gradient checks that gate every
 backward pass here run at 1e-4 relative tolerance, which single precision
 cannot sustain. Layers come in forward/backward pairs with explicit caches
 instead of an autodiff graph; parameters live in flat name->array dicts so
-the optimizer and the checker can treat them uniformly.
+the optimizer and the test suite's gradient checker can treat them
+uniformly.
 
 An LSTM layer runs over a whole batch of sequences (B, L, d) in one call,
 step by step inside; the B rows are independent passes.
@@ -227,44 +228,3 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         v += (1.0 - state.beta2) * (g * g)
         p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return params
-
-
-# --------------------------------------------------------------------------
-# gradient checking
-
-def relative_error(a: float, n: float) -> float:
-    return abs(a - n) / max(abs(a), abs(n), 1e-8)
-
-
-def grad_check(fn, params: dict[str, np.ndarray], h: float = 1e-5,
-               blocks: list[str] | None = None) -> dict[str, float]:
-    """Max relative error of analytic vs central-difference gradients.
-
-    fn(params) -> (loss, grads dict) and must be deterministic; two
-    evaluations that disagree raise. Every coordinate of every checked
-    block is perturbed by +-h. Mutates params transiently but restores
-    each value exactly.
-    """
-    loss_a, grads = fn(params)
-    loss_b, _ = fn(params)
-    if loss_a != loss_b:
-        raise RuntimeError(
-            f"forward closure is not deterministic: {loss_a!r} != {loss_b!r}")
-    report: dict[str, float] = {}
-    for name in (blocks if blocks is not None else sorted(grads)):
-        g = grads[name]
-        p = params[name]
-        worst = 0.0
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for idx in range(flat_p.size):
-            orig = flat_p[idx]
-            flat_p[idx] = orig + h
-            lp, _ = fn(params)
-            flat_p[idx] = orig - h
-            lm, _ = fn(params)
-            flat_p[idx] = orig
-            numeric = (lp - lm) / (2.0 * h)
-            worst = max(worst, relative_error(float(flat_g[idx]), numeric))
-        report[name] = worst
-    return report

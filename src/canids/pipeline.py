@@ -141,14 +141,24 @@ def _subsample(X: np.ndarray, cap: int) -> np.ndarray:
     return X[idx]
 
 
-def _scaled_windows(trace: Trace, scaling: ScalingParams,
-                    length: int) -> tuple[np.ndarray, np.ndarray]:
-    """window_arrays over the scaled trace. A NaN or infinite payload would
-    poison every window it enters, so it stops the pass here, before the
-    forward turns it into NaN with a numpy warning on the way."""
+def _predict_windows(model: pr.PredictorModel, scaling: ScalingParams,
+                     trace: Trace, cap: int | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The model's next-row predictions for the trace's windows, and the
+    scaled rows they predict, both (N, k). With a cap, only the at most
+    cap windows that _subsample's even stride keeps are predicted.
+
+    A NaN or infinite payload would poison every window it enters, so it
+    stops the pass before the forward turns it into NaN with a numpy
+    warning on the way.
+    """
     scaled = apply_scaling(trace, scaling)
     _require_finite(scaled.signals)
-    return window_arrays(scaled, length)
+    X, Y = window_arrays(scaled, model.hyper.subsequence_length)
+    if cap is not None:
+        keep = _subsample(np.arange(len(X)), cap)
+        X, Y = X[keep], Y[keep]
+    return pr.predict_last_batch(model, X), Y
 
 
 def _require_finite(signals: np.ndarray) -> None:
@@ -162,43 +172,29 @@ def _require_finite(signals: np.ndarray) -> None:
 
 def deviations_for(model: pr.PredictorModel, scaling: ScalingParams,
                    trace: Trace, variant: str, detcfg: DetectorConfig
-                   ) -> tuple[np.ndarray, int]:
+                   ) -> np.ndarray:
     """Clean-trace deviation rows to fit the variant's detector on, in the
-    variant's geometry, and the trace's window count.
+    variant's geometry.
 
-    ST's percentile threshold reads every window. The SVM variants are fit
-    on at most detcfg.max_train_points rows, so they predict only the
-    windows that _subsample's even stride keeps.
+    ST's percentile threshold reads every window. The kernel solver is
+    quadratic in its training-set size, so the SVM variants are fit on at
+    most detcfg.max_train_points rows and predict only the windows that
+    _subsample's even stride keeps.
     """
-    X, Y = _scaled_windows(trace, scaling, model.hyper.subsequence_length)
-    n_windows = len(X)
-    if variant != "ST":
-        keep = _subsample(np.arange(n_windows), detcfg.max_train_points)
-        X, Y = X[keep], Y[keep]
-    return det.deviations(model, variant, X, Y), n_windows
+    cap = None if variant == "ST" else detcfg.max_train_points
+    preds, targets = _predict_windows(model, scaling, trace, cap)
+    return det.deviation_matrix(preds, targets, variant)
 
 
-def fit_detector_on(devs: np.ndarray, detcfg: DetectorConfig,
-                    variant: str) -> det.OcsvmModel | det.StaticThreshold:
-    """Fit a detector on precomputed clean-trace deviations.
-
-    The kernel solver is quadratic in its training-set size, so deviations
-    are thinned to detcfg.max_train_points by even striding first; rows
-    from deviations_for are thinned already and pass through unchanged.
-    """
+def fit_detector(model: pr.PredictorModel, scaling: ScalingParams,
+                 trace: Trace, variant: str, detcfg: DetectorConfig
+                 ) -> det.OcsvmModel | det.StaticThreshold:
+    """Fit the variant's detector on the deviations of a clean trace."""
+    devs = deviations_for(model, scaling, trace, variant, detcfg)
     if variant == "ST":
         return det.fit_static_threshold(devs, detcfg.percentile)
-    devs = _subsample(devs, detcfg.max_train_points)
     return det.fit_ocsvm(devs, nu=detcfg.nu, gamma=detcfg.gamma,
                          tol=detcfg.tol, max_iter=detcfg.max_iter)
-
-
-def fit_detector(cfg: ExperimentConfig, model: pr.PredictorModel,
-                 scaling: ScalingParams, trace: Trace, variant: str
-                 ) -> det.OcsvmModel | det.StaticThreshold:
-    """Fit the chosen variant's detector on clean-trace deviations."""
-    devs, _ = deviations_for(model, scaling, trace, variant, cfg.detector)
-    return fit_detector_on(devs, cfg.detector, variant)
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +236,7 @@ def detect_with(model: pr.PredictorModel, scaling: ScalingParams,
     that behavior belongs to the online controller pipeline). Rate flags
     come from inter-arrival times against the schema's nominal period.
     """
-    scorer = det.Scorer(model, detector, variant)
+    scorer = det.Scorer(detector, variant, model.k)
     L = model.hyper.subsequence_length
     n = len(trace)
     if n < L + 1:
@@ -248,8 +244,7 @@ def detect_with(model: pr.PredictorModel, scaling: ScalingParams,
     fast, slow = rate_flags(trace.timestamps,
                             trace.schema.nominal_period_ms,
                             tolerance_fraction)
-    X, Y = _scaled_windows(trace, scaling, L)
-    tail_scores, _ = scorer.scores(X, Y)
+    tail_scores = scorer.scores(*_predict_windows(model, scaling, trace))
     scores = np.full(n, np.nan)
     scores[L:] = tail_scores
     ml = np.zeros(n, dtype=np.int64)
@@ -260,14 +255,6 @@ def detect_with(model: pr.PredictorModel, scaling: ScalingParams,
         timestamps=np.array(trace.timestamps), labels=np.array(trace.labels),
         scores=scores, ml_flag=ml, rate_fast=fast, rate_slow=slow,
         final_flag=final)
-
-
-def detect(cfg: ExperimentConfig, model: pr.PredictorModel,
-           scaling: ScalingParams,
-           detector: det.OcsvmModel | det.StaticThreshold, variant: str,
-           trace: Trace) -> DetectionTable:
-    return detect_with(model, scaling, detector, variant, trace,
-                       cfg.controller.tolerance_fraction)
 
 
 def evaluate(table: DetectionTable, specs: list[AttackSpec]) -> mx.AttackReport:
@@ -402,8 +389,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
     reports: dict[str, mx.AttackReport] = {}
     tables: dict[str, DetectionTable] = {}
     for variant in variants:
-        d = fit_detector(cfg, model, scaling, train_trace, variant)
-        table = detect(cfg, model, scaling, d, variant, attacked)
+        d = fit_detector(model, scaling, train_trace, variant, cfg.detector)
+        table = detect_with(model, scaling, d, variant, attacked)
         tables[variant] = table
         reports[variant] = evaluate(table, specs)
     result = {

@@ -20,7 +20,8 @@ emits the predicted next signal vector at every step; training compares
 only the last step against the window's target row.
 
 Everything is trained with hand-derived backpropagation through time; the
-gradient checker in `nn` is the authority on its correctness.
+finite-difference gradient checks in the test suite are the authority on
+its correctness.
 """
 
 from __future__ import annotations
@@ -358,9 +359,17 @@ def train(model: PredictorModel, train_trace: Trace, val_trace: Trace,
     measured after every epoch; training stops when it fails to improve
     for `patience` consecutive epochs or at max_epochs, and the weights
     of the best epoch are restored. The procedure draws no randomness
-    beyond the model's own initialization.
+    beyond the model's own initialization. A hyper whose embed_dim or
+    hidden_dim differs from the model's raises ValueError before any
+    training.
     """
     hyper = hyper or model.hyper
+    if (hyper.embed_dim, hyper.hidden_dim) != (model.hyper.embed_dim,
+                                               model.hyper.hidden_dim):
+        raise ValueError(
+            f"hyper has embed_dim {hyper.embed_dim}, hidden_dim "
+            f"{hyper.hidden_dim}; the model was built with "
+            f"{model.hyper.embed_dim}, {model.hyper.hidden_dim}")
     L = hyper.subsequence_length
     X_tr, Y_tr = window_arrays(train_trace, L)
     X_va, Y_va = window_arrays(val_trace, L)

@@ -239,6 +239,8 @@ class Trace:
             raise ValueError("labels must be one per record")
         if not np.isin(lab, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
+        if not np.isfinite(ts).all():
+            raise ValueError("timestamps must be finite")
         if n > 1 and np.any(np.diff(ts) < 0):
             raise ValueError("timestamps must be non-decreasing")
 

@@ -294,3 +294,45 @@ def lstm_cell_backward(W_x: np.ndarray, W_h: np.ndarray, cache: tuple,
     g_x = dz @ W_x
     g_h_prev = dz @ W_h
     return g_x, g_h_prev, g_c_prev, gW_x, gW_h, gb
+
+
+# --------------------------------------------------------------------------
+# gradient checking (central differences)
+
+
+def relative_error(a: float, n: float) -> float:
+    return abs(a - n) / max(abs(a), abs(n), 1e-8)
+
+
+def grad_check(fn, params: dict[str, np.ndarray], h: float = 1e-5,
+               blocks: list[str] | None = None) -> dict[str, float]:
+    """Max relative error of analytic vs central-difference gradients.
+
+    fn(params) -> (loss, grads dict) and must be deterministic; two
+    evaluations that disagree raise. Every coordinate of every checked
+    block is perturbed by +-h. Mutates params transiently but restores
+    each value exactly.
+    """
+    loss_a, grads = fn(params)
+    loss_b, _ = fn(params)
+    if loss_a != loss_b:
+        raise RuntimeError(
+            f"forward closure is not deterministic: {loss_a!r} != {loss_b!r}")
+    report: dict[str, float] = {}
+    for name in (blocks if blocks is not None else sorted(grads)):
+        g = grads[name]
+        p = params[name]
+        worst = 0.0
+        flat_p = p.reshape(-1)
+        flat_g = g.reshape(-1)
+        for idx in range(flat_p.size):
+            orig = flat_p[idx]
+            flat_p[idx] = orig + h
+            lp, _ = fn(params)
+            flat_p[idx] = orig - h
+            lm, _ = fn(params)
+            flat_p[idx] = orig
+            numeric = (lp - lm) / (2.0 * h)
+            worst = max(worst, relative_error(float(flat_g[idx]), numeric))
+        report[name] = worst
+    return report

@@ -18,9 +18,8 @@ from canids.controller import RateCheckerState, rate_check, rate_flags
 from canids.detector import (OcsvmModel, anomaly_flags, decision_values,
                              fit_ocsvm, rbf_kernel)
 from canids.metrics import roc_auc
-from canids.nn import grad_check
-from canids.pipeline import (baseline_reports, detect, evaluate, fit_detector,
-                             gen_trace, inject, train_predictor)
+from canids.pipeline import (baseline_reports, detect_with, evaluate,
+                             fit_detector, gen_trace, inject, train_predictor)
 from canids.predictor import (PredictorHyper, build_model, load_model_file,
                               loss_and_grads, parameter_count_note,
                               save_model, train)
@@ -28,7 +27,7 @@ from canids.tracegen import SignalGenSpec, generate_normal
 from canids.traces import (MessageSchema, fit_and_scale, load_trace,
                            split_train_val, window_arrays, write_trace)
 
-from oracles import pairwise_auc, persistence_mse, qp_ocsvm_oracle
+from oracles import grad_check, pairwise_auc, persistence_mse, qp_ocsvm_oracle
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -91,20 +90,23 @@ def ordering_runs():
         model, scaling, _ = train_predictor(cfg, train_trace, seed=seed)
         attacked, specs = inject(cfg, test_clean, seed=seed)
         for variant in _VARIANTS:
-            d = fit_detector(cfg, model, scaling, train_trace, variant)
-            table = detect(cfg, model, scaling, d, variant, attacked)
+            d = fit_detector(model, scaling, train_trace, variant,
+                             cfg.detector)
+            table = detect_with(model, scaling, d, variant, attacked)
             f1[variant].append(evaluate(table, specs).overall.f1)
         att_c, specs_c = inject(cfg_cont, test_clean, seed=seed)
-        d = fit_detector(cfg_cont, model, scaling, train_trace, "Diff")
-        rep = evaluate(detect(cfg_cont, model, scaling, d, "Diff", att_c),
+        d = fit_detector(model, scaling, train_trace, "Diff",
+                         cfg_cont.detector)
+        rep = evaluate(detect_with(model, scaling, d, "Diff", att_c),
                        specs_c)
         f1_cont["Diff"].append(rep.overall.f1)
         for name, brep in baseline_reports(cfg_cont, att_c, specs_c,
                                            eval_from=8).items():
             f1_cont[name].append(brep.overall.f1)
         att_k, specs_k = inject(cfg_const, test_clean, seed=seed)
-        d = fit_detector(cfg_const, model, scaling, train_trace, "Diff")
-        rep_k = evaluate(detect(cfg_const, model, scaling, d, "Diff", att_k),
+        d = fit_detector(model, scaling, train_trace, "Diff",
+                         cfg_const.detector)
+        rep_k = evaluate(detect_with(model, scaling, d, "Diff", att_k),
                          specs_k)
         auc_const.append(rep_k.auc)
     return {"f1": f1, "f1_cont": f1_cont, "auc_const": auc_const}

@@ -43,8 +43,6 @@ def _full_doc() -> dict:
                       "patience": 2, "train_ratio": 0.8},
         "detector": {"nu": 0.05},
         "baselines": {"bollinger_window": 20},
-        "controller": {"tolerance_fraction": 0.2,
-                       "substitution": "prediction"},
     }
 
 
@@ -64,7 +62,6 @@ class TestLoadDict:
         assert cfg.train_ratio == 0.8
         assert cfg.detector.nu == 0.05
         assert cfg.baselines.bollinger_window == 20
-        assert cfg.controller.substitution == "prediction"
 
     def test_defaults_fill_optional_sections(self):
         doc = {
@@ -209,10 +206,13 @@ class TestLoadDict:
         with pytest.raises(ConfigError, match="train_ratio"):
             load_config_dict(doc)
 
-    def test_bad_controller_substitution(self):
+    def test_controller_section_is_an_unknown_key(self):
+        # the gateway's tolerance and substitution are command-line flags
         doc = _full_doc()
-        doc["controller"]["substitution"] = "zero"
-        with pytest.raises(ConfigError, match="controller"):
+        doc["controller"] = {"tolerance_fraction": 0.2,
+                             "substitution": "prediction"}
+        with pytest.raises(ConfigError,
+                           match=r"config: unknown keys \['controller'\]"):
             load_config_dict(doc)
 
 

@@ -225,6 +225,31 @@ class TestRunOnline:
                          config=OnlineConfig(substitution=substitution))
         assert len(out) == 15
 
+    @pytest.mark.parametrize("substitution", ["prediction", "freeze"])
+    def test_predictor_runs_once_per_frame_after_warmup(self, substitution):
+        # k=2, L=4; a flood frame in warm-up (3) and after it (6), a NaN
+        # payload after it (7), and a threshold that drops some frames
+        stream = list(_clean_stream(14))
+        stream[3] = (0.0315, stream[3][1])
+        stream[4] = (0.045, stream[4][1])
+        stream[6] = (stream[5][0] + 0.0015, stream[6][1])
+        stream[7] = (stream[7][0], np.array([np.nan, 0.5]))
+        model = build_model(k=2, hyper=HYPER, seed=0)
+        det = StaticThreshold(threshold=0.5)
+        with mock.patch.object(controller, "predict_last_batch",
+                               wraps=predict_last_batch) as spy:
+            out = run_online(stream, model, det, "ST", _unit_scaling(2),
+                             15.0, OnlineConfig(substitution=substitution))
+        predicted = [d for d in out if not d.warmup
+                     and d.disposition != "DroppedRateViolation"]
+        assert [d.index for d in out if d.rate_flag == "too_fast"] == [3, 6]
+        assert out[7].disposition == "DroppedAnomalous"
+        assert out[7].score is None
+        assert {d.disposition for d in predicted} == {"Delivered",
+                                                      "DroppedAnomalous"}
+        assert spy.call_count == len(predicted) == 14 - 4 - 2
+        assert all(c.args[1].shape == (1, 4, 2) for c in spy.call_args_list)
+
     def test_ocsvm_detector_with_diff_variant(self):
         rng = np.random.default_rng(1)
         det = fit_ocsvm(rng.normal(size=(30, 2)) * 0.01, nu=0.2)

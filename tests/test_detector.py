@@ -1,11 +1,16 @@
 """Deviation arithmetic, the one-class SVM against the QP oracle, and the
 static-threshold detector."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import canids
 from canids import model_io
 from canids.detector import (
     OcsvmModel,
@@ -15,7 +20,6 @@ from canids.detector import (
     check_pairing,
     decision_values,
     deviation_matrix,
-    deviations,
     fit_ocsvm,
     fit_static_threshold,
     load_detector,
@@ -23,8 +27,6 @@ from canids.detector import (
     save_detector,
     static_scores,
 )
-from canids.predictor import PredictorHyper, build_model, predict_last_batch
-
 from oracles import qp_ocsvm_oracle, rbf_oracle
 
 
@@ -360,31 +362,36 @@ class TestPairing:
 
 
 class TestScorer:
-    HYPER = PredictorHyper(subsequence_length=4, embed_dim=4, hidden_dim=4,
-                           batch_size=8, learning_rate=1e-3, max_epochs=3,
-                           patience=2)
-
     @pytest.mark.parametrize("variant", ["ST", "Diff", "Sum", "Avg", "Max"])
     def test_scores_follow_the_chain(self, variant):
-        model = build_model(k=2, hyper=self.HYPER, seed=0)
         rng = np.random.default_rng(14)
-        X = rng.normal(size=(9, 4, 2))
+        preds = rng.normal(size=(9, 2))
         Y = rng.normal(size=(9, 2))
-        preds = predict_last_batch(model, X)
+        # ST thresholds the max-absolute deviation
         mode = "Max" if variant == "ST" else variant
         devs = deviation_matrix(preds, Y, mode)
-        assert np.array_equal(deviations(model, variant, X, Y), devs)
+        assert np.array_equal(deviation_matrix(preds, Y, variant), devs)
         if variant == "ST":
             det = StaticThreshold(threshold=0.5)
             expected = static_scores(det, devs)
         else:
             det = _svm(devs.shape[1])
             expected = decision_values(det, devs)
-        scores, got_preds = Scorer(model, det, variant).scores(X, Y)
-        assert np.array_equal(scores, expected)
-        assert np.array_equal(got_preds, preds)
+        assert np.array_equal(Scorer(det, variant, 2).scores(preds, Y),
+                              expected)
 
     def test_pairing_checked_at_construction(self):
-        model = build_model(k=3, hyper=self.HYPER, seed=0)
         with pytest.raises(ValueError, match="dimension"):
-            Scorer(model, _svm(2), "Diff")
+            Scorer(_svm(2), "Diff", 3)
+
+
+def test_importing_the_detector_leaves_the_predictor_out():
+    # scoring takes predictions as input and never runs the model itself
+    src = str(Path(canids.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, canids.detector; "
+            "print('canids.predictor' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

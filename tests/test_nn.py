@@ -11,16 +11,20 @@ from canids.nn import (
     AdamState,
     _sigmoid,
     adam_step,
-    grad_check,
     init_lstm_cell,
     lstm_layer_backward,
     lstm_layer_forward,
     mse_loss,
-    relative_error,
     softmax,
 )
 
-from oracles import lstm_cell_backward, lstm_cell_forward, masked_sigmoid
+from oracles import (
+    grad_check,
+    lstm_cell_backward,
+    lstm_cell_forward,
+    masked_sigmoid,
+    relative_error,
+)
 
 
 class TestLstmCell:

@@ -9,6 +9,7 @@ import pytest
 
 from canids import detector as det
 from canids import metrics, pipeline
+from canids import predictor as pr
 from canids.baselines import LofConfig, lof_scores
 from canids.config import load_config_dict
 from canids.detector import OcsvmModel, StaticThreshold
@@ -17,14 +18,12 @@ from canids.pipeline import (
     DetectionTable,
     _subsample,
     baseline_reports,
-    detect,
     detect_with,
     detection_csv,
     deviations_for,
     evaluate,
     expand_attacks,
     fit_detector,
-    fit_detector_on,
     gen_trace,
     inject,
     parse_detection_csv,
@@ -209,16 +208,20 @@ def _svm_fields(d: OcsvmModel) -> list[bytes]:
 
 def _all_window_route(model, scaling, trace, variant, detcfg):
     """The fit as it was before thinning moved ahead of the forward: every
-    window predicted, then fit_detector_on strides the deviations down."""
+    window predicted, then the deviations strided down to the cap."""
     X, Y = window_arrays(apply_scaling(trace, scaling),
                          model.hyper.subsequence_length)
-    all_devs = det.deviations(model, variant, X, Y)
-    return all_devs, fit_detector_on(all_devs, detcfg, variant)
+    all_devs = det.deviation_matrix(predict_last_batch(model, X), Y, variant)
+    if variant == "ST":
+        return all_devs, det.fit_static_threshold(all_devs, detcfg.percentile)
+    devs = _subsample(all_devs, detcfg.max_train_points)
+    return all_devs, det.fit_ocsvm(devs, nu=detcfg.nu, gamma=detcfg.gamma,
+                                   tol=detcfg.tol, max_iter=detcfg.max_iter)
 
 
 def _predicted_rows(call):
     """Run call() and count the windows it hands to predict_last_batch."""
-    with mock.patch.object(det, "predict_last_batch",
+    with mock.patch.object(pr, "predict_last_batch",
                            wraps=predict_last_batch) as spy:
         out = call()
     return out, sum(len(c.args[1]) for c in spy.call_args_list)
@@ -231,14 +234,12 @@ class TestDeviationsAndDetectors:
         cap = CFG.detector.max_train_points
         assert n > cap
         assert deviations_for(model, scaling, trace, "ST",
-                              CFG.detector)[0].shape == (n, 1)
-        diff, n_windows = deviations_for(model, scaling, trace, "Diff",
-                                         CFG.detector)
-        assert diff.shape == (cap, 2) and n_windows == n
+                              CFG.detector).shape == (n, 1)
+        assert deviations_for(model, scaling, trace, "Diff",
+                              CFG.detector).shape == (cap, 2)
         for variant in ("Sum", "Avg", "Max"):
-            devs, n_windows = deviations_for(model, scaling, trace, variant,
-                                             CFG.detector)
-            assert devs.shape == (cap, 1) and n_windows == n
+            assert deviations_for(model, scaling, trace, variant,
+                                  CFG.detector).shape == (cap, 1)
 
     @pytest.mark.parametrize("variant", ["Diff", "Sum", "Avg", "Max"])
     def test_svm_variants_predict_only_the_strided_windows(self, trained,
@@ -246,13 +247,15 @@ class TestDeviationsAndDetectors:
         trace, model, scaling = trained
         cap = CFG.detector.max_train_points
         _, rows = _predicted_rows(
-            lambda: fit_detector(CFG, model, scaling, trace, variant))
+            lambda: fit_detector(model, scaling, trace, variant,
+                                 CFG.detector))
         assert rows == cap < len(trace) - model.hyper.subsequence_length
 
     def test_st_predicts_every_window(self, trained):
         trace, model, scaling = trained
         _, rows = _predicted_rows(
-            lambda: fit_detector(CFG, model, scaling, trace, "ST"))
+            lambda: fit_detector(model, scaling, trace, "ST",
+                                 CFG.detector))
         assert rows == len(trace) - model.hyper.subsequence_length
 
     @pytest.mark.parametrize("variant", ["Diff", "Sum", "Avg", "Max"])
@@ -260,18 +263,18 @@ class TestDeviationsAndDetectors:
         trace, model, scaling = trained
         all_devs, expected = _all_window_route(model, scaling, trace,
                                                variant, CFG.detector)
-        devs, _ = deviations_for(model, scaling, trace, variant,
-                                 CFG.detector)
+        devs = deviations_for(model, scaling, trace, variant, CFG.detector)
         assert devs.tobytes() == _subsample(
             all_devs, CFG.detector.max_train_points).tobytes()
-        got = fit_detector(CFG, model, scaling, trace, variant)
+        got = fit_detector(model, scaling, trace, variant, CFG.detector)
         assert _svm_fields(got) == _svm_fields(expected)
 
     def test_st_fit_equals_the_all_window_route(self, trained):
         trace, model, scaling = trained
         _, expected = _all_window_route(model, scaling, trace, "ST",
                                         CFG.detector)
-        assert fit_detector(CFG, model, scaling, trace, "ST") == expected
+        assert fit_detector(model, scaling, trace, "ST",
+                            CFG.detector) == expected
 
     # the two bench architectures on their training-trace lengths and caps:
     # the small model's 3,000 records thinned to 800, the default model's
@@ -300,38 +303,27 @@ class TestDeviationsAndDetectors:
             _, expected = _all_window_route(model, scaling, trace, variant,
                                             cfg.detector)
             got, rows = _predicted_rows(
-                lambda: fit_detector(cfg, model, scaling, trace, variant))
+                lambda: fit_detector(model, scaling, trace, variant,
+                                     cfg.detector))
             assert rows == cap
             assert _svm_fields(got) == _svm_fields(expected)
 
     def test_fit_detector_kinds(self, trained):
         trace, model, scaling = trained
-        st = fit_detector(CFG, model, scaling, trace, "ST")
+        st = fit_detector(model, scaling, trace, "ST", CFG.detector)
         assert isinstance(st, StaticThreshold)
-        svm = fit_detector(CFG, model, scaling, trace, "Diff")
+        svm = fit_detector(model, scaling, trace, "Diff", CFG.detector)
         assert isinstance(svm, OcsvmModel)
-        assert svm.n_train <= CFG.detector.max_train_points
-
-    def test_fit_detector_on_respects_cap(self):
-        devs = np.random.default_rng(0).normal(size=(1000, 1)) * 0.01
-        svm = fit_detector_on(devs, CFG.detector, "Sum")
+        # the trace has more windows than the cap, so the SVM gets the cap
         assert svm.n_train == CFG.detector.max_train_points
-
-    def test_fit_detector_on_leaves_thinned_rows_alone(self):
-        devs = np.random.default_rng(0).normal(size=(1000, 1)) * 0.01
-        thinned = _subsample(devs, CFG.detector.max_train_points)
-        with mock.patch.object(det, "fit_ocsvm",
-                               wraps=det.fit_ocsvm) as spy:
-            fit_detector_on(thinned, CFG.detector, "Sum")
-        assert spy.call_args.args[0] is thinned
 
 
 class TestDetect:
     def test_table_invariants(self, trained):
         trace, model, scaling = trained
         attacked, specs = inject(CFG, gen_trace(CFG, "test"))
-        d = fit_detector(CFG, model, scaling, trace, "Diff")
-        table = detect(CFG, model, scaling, d, "Diff", attacked)
+        d = fit_detector(model, scaling, trace, "Diff", CFG.detector)
+        table = detect_with(model, scaling, d, "Diff", attacked)
         L = model.hyper.subsequence_length
         n = len(attacked)
         assert len(table) == n
@@ -348,8 +340,8 @@ class TestDetect:
 
     def test_variant_detector_mismatch_rejected(self, trained):
         trace, model, scaling = trained
-        st = fit_detector(CFG, model, scaling, trace, "ST")
-        svm = fit_detector(CFG, model, scaling, trace, "Diff")
+        st = fit_detector(model, scaling, trace, "ST", CFG.detector)
+        svm = fit_detector(model, scaling, trace, "Diff", CFG.detector)
         with pytest.raises(ValueError, match="StaticThreshold"):
             detect_with(model, scaling, svm, "ST", trace)
         with pytest.raises(ValueError, match="OcsvmModel"):
@@ -357,16 +349,27 @@ class TestDetect:
 
     def test_short_trace_rejected(self, trained):
         trace, model, scaling = trained
-        st = fit_detector(CFG, model, scaling, trace, "ST")
+        st = fit_detector(model, scaling, trace, "ST", CFG.detector)
         short = gen_trace(CFG, "test", duration=0.1)  # 6 records < L+1
         with pytest.raises(ValueError, match="too short"):
             detect_with(model, scaling, st, "ST", short)
 
+    def test_non_finite_stamp_rejected(self, trained):
+        # a NaN stamp between a record and the flood frame 0.1 ms after it
+        # would hide the flood from rate_flags, so no Trace may carry one
+        trace, model, scaling = trained
+        st = fit_detector(model, scaling, trace, "ST", CFG.detector)
+        stamps = trace.timestamps.copy()
+        stamps[21:23] = [np.nan, stamps[20] + 0.0001]
+        with pytest.raises(ValueError, match="finite"):
+            detect_with(model, scaling, st, "ST",
+                        trace.replace_data(timestamps=stamps))
+
     def test_evaluate_returns_report(self, trained):
         trace, model, scaling = trained
         attacked, specs = inject(CFG, gen_trace(CFG, "test"))
-        d = fit_detector(CFG, model, scaling, trace, "ST")
-        table = detect(CFG, model, scaling, d, "ST", attacked)
+        d = fit_detector(model, scaling, trace, "ST", CFG.detector)
+        table = detect_with(model, scaling, d, "ST", attacked)
         rep = evaluate(table, specs)
         assert isinstance(rep, AttackReport)
         assert rep.eval_from == table.eval_from

@@ -1,10 +1,13 @@
 """Sequence predictor: architecture, causality, gradients, training loop."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from canids import model_io
-from canids.nn import grad_check, mse_loss, softmax
+from canids import model_io, predictor
+from canids.nn import mse_loss, softmax
 from canids.predictor import (
     PredictorHyper,
     PredictorModel,
@@ -27,7 +30,7 @@ from canids.traces import (
     window_arrays,
 )
 
-from oracles import persistence_mse
+from oracles import grad_check, persistence_mse
 
 def closed_form_parameter_count(k: int, e: int, h: int) -> int:
     """The parameter count as an explicit sum over layer dimensions."""
@@ -270,6 +273,20 @@ class TestTraining:
             assert np.array_equal(model.params[name], before[name])
         assert any(not np.array_equal(trained.params[n], before[n])
                    for n in before)
+
+    @pytest.mark.parametrize("field", ["embed_dim", "hidden_dim"])
+    def test_hyper_of_another_architecture_rejected_before_training(
+            self, field):
+        tr, va = _sine_traces()
+        hyper = PredictorHyper(subsequence_length=8, embed_dim=4,
+                               hidden_dim=4, batch_size=64,
+                               learning_rate=0.01, max_epochs=5, patience=1)
+        model = build_model(k=1, hyper=hyper, seed=2)
+        other = dataclasses.replace(hyper, **{field: 6})
+        with mock.patch.object(predictor, "loss_and_grads") as spy, \
+                pytest.raises(ValueError, match=field):
+            train(model, tr, va, other)
+        spy.assert_not_called()
 
     def test_inconsistent_history_rejected(self):
         with pytest.raises(ValueError):
