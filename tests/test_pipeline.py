@@ -317,6 +317,13 @@ class TestDeviationsAndDetectors:
         # the trace has more windows than the cap, so the SVM gets the cap
         assert svm.n_train == CFG.detector.max_train_points
 
+    def test_fit_detector_on_respects_cap(self, trained):
+        trace, model, scaling = trained
+        cap = CFG.detector.max_train_points
+        assert len(trace) - model.hyper.subsequence_length > cap
+        svm = fit_detector(model, scaling, trace, "Sum", CFG.detector)
+        assert svm.n_train == cap
+
 
 class TestDetect:
     def test_table_invariants(self, trained):
