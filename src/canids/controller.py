@@ -107,9 +107,15 @@ def rate_flags(timestamps: np.ndarray, expected_period_ms: float,
     """Vectorized offline rate check over a whole trace.
 
     Returns (too_fast, too_slow) 0/1 arrays; the first record is 'ok'.
+    A NaN or infinite timestamp raises ValueError naming its index, as
+    decreasing timestamps do: every comparison with NaN is False, so it
+    would pass the rate check unflagged.
     """
     _check_tolerance(tolerance_fraction)
     ts = np.asarray(timestamps, dtype=np.float64)
+    bad = ~np.isfinite(ts)
+    if bad.any():
+        raise ValueError(f"timestamp {int(np.argmax(bad))} is not finite")
     if len(ts) and np.any(np.diff(ts) < 0):
         raise ValueError("timestamps must be non-decreasing")
     period_s = expected_period_ms / 1000.0

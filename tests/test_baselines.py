@@ -15,6 +15,8 @@ from canids.baselines import (
     lof_scores,
 )
 from canids import baselines
+from canids.config import load_config_dict
+from canids.pipeline import gen_trace, inject
 
 from oracles import lof_scores_loop, naive_lof, sma_bands_oracle
 
@@ -226,7 +228,41 @@ _HARD_CASES = {
     "two_points": (np.array([[0.0, 1.0], [2.0, 3.0]]), (1,)),
     "one_column": (np.round(np.random.default_rng(10).normal(size=(90, 1)),
                             1), (1, 3, 10)),
+    # the grid leaves the constant middle coordinate out
+    "zero_span": (np.column_stack([
+        np.round(np.random.default_rng(13).normal(size=(80, 2)), 1),
+        np.full(80, 3.0)])[:, [0, 2, 1]], (1, 5, 12)),
+    # three groups 5e11 apart on a coordinate spread over 1e12: the edge is
+    # clamped to span / _AXIS_CELLS and each group spans a few cells
+    "wide_spread": (np.column_stack([
+        np.repeat([0.0, 5e11, 1e12], 30)
+        + np.random.default_rng(14).normal(scale=3e5, size=90),
+        np.random.default_rng(15).normal(size=(90, 2))]), (1, 5, 20)),
+    # the grid uses the three widest of six coordinates
+    "six_columns": (np.random.default_rng(16).normal(size=(150, 6))
+                    * [1.0, 3.0, 0.5, 2.0, 1.0, 4.0], (1, 7, 15)),
+    # a sub-floor cluster across the cell boundary at x = 1.0 (the grid
+    # starts at 0 and the edge is pinned to 0.5, see _EDGES)
+    "sub_floor_straddle": (np.vstack([
+        [1.0, 0.5] + (np.arange(12)[:, None] - 6) * [3e-14, 0.0],
+        np.random.default_rng(17).uniform(0.0, 2.0, size=(40, 2)),
+        [[0.0, 0.0], [2.0, 2.0]]]), (1, 5, 8, 14)),
+    # a 0.5-spaced lattice on the pinned unit edge: every other point lies
+    # on a cell edge, and k = 12 reaches k-distance 1.0, the edge itself
+    "on_cell_edges": (_lattice(9, 2) * 0.5, (1, 4, 8, 12)),
+    # on the pinned unit edge from -5, the point just below 1.0 has its
+    # nearest neighbor, 2.0, two cells up at 1 + 2^-40, and its adjacent
+    # cells hold only a point at 1 + 2^-39: its k-distance exceeds the
+    # edge, and only the search over all rows finds it. 15.58 settles at
+    # k = 1 with its neighbor 0.99 up, one cell away, and a decoy 0.995
+    # down: cells 2% narrower than the edge would put them two apart
+    "just_past_the_edge": (np.array([
+        [-5.0], [-3 * 2.0**-40], [1 - 2.0**-40], [2.0], [6.0], [8.0],
+        [14.585], [15.58], [16.57]]), (1, 2)),
 }
+# cases whose meaning rests on where the cell edges fall pin the edge
+_EDGES = {"sub_floor_straddle": 0.5, "on_cell_edges": 1.0,
+          "just_past_the_edge": 1.0}
 
 
 def _distinct(X: np.ndarray) -> int:
@@ -258,6 +294,9 @@ class TestLofMatchesLoopReference:
         X, ks = _HARD_CASES[case]
         m = _distinct(X)
         monkeypatch.setattr(baselines, "_BLOCK_ENTRIES", (rows or m) * m)
+        if case in _EDGES:
+            monkeypatch.setattr(baselines, "_cell_edge",
+                                lambda *_: _EDGES[case])
         for k in ks:
             got = lof_scores(X, LofConfig(k_neighbors=k))
             assert np.array_equal(got, lof_scores_loop(X, k)), k
@@ -310,6 +349,21 @@ class TestLofProperties:
             assert np.array_equal(lof_scores(X, cfg), whole)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(edge=hs.one_of(hs.floats(1e-3, 20.0),
+                          hs.sampled_from([0.5, 1.0, 1e300])),
+           **{**_SETS, "n_distinct": hs.integers(1, 80),
+              "n": hs.integers(2, 300)})
+    def test_any_cell_edge_gives_the_same_scores(self, edge, seed, n_distinct,
+                                                 n, dim, grid, k):
+        # an infinite edge puts every row in one cell: all pairs
+        X = _with_duplicates(seed, n_distinct, n, dim, grid)
+        cfg = LofConfig(k_neighbors=min(k, n - 1))
+        with mock.patch.object(baselines, "_cell_edge", lambda *_: np.inf):
+            one_cell = lof_scores(X, cfg)
+        with mock.patch.object(baselines, "_cell_edge", lambda *_: edge):
+            assert np.array_equal(lof_scores(X, cfg), one_cell)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
     @given(**_SETS)
     def test_equal_points_get_equal_scores(self, seed, n_distinct, n, dim,
                                            grid, k):
@@ -335,3 +389,44 @@ class TestLofProperties:
         copies = (X == point).all(axis=1)
         scores = lof_scores(X, LofConfig(k_neighbors=k))
         assert (scores[copies] == 1.0).all()
+
+
+# the benchmark's capture signals; the default suite floods a tenth of the
+# test span and attacks signal 1
+_CAPTURE = {
+    "seed": 1,
+    "schema": {"message_id": "0x101", "signal_count": 3,
+               "nominal_period_ms": 15.0},
+    "signals": [
+        {"kind": "sine", "lo": -2.0, "hi": 2.0, "amplitude": 1.5,
+         "period_s": 0.705, "noise_std": 0.02},
+        {"kind": "ramp-reset", "lo": 0.0, "hi": 5.0, "period_s": 0.645,
+         "noise_std": 0.01},
+        {"kind": "sine", "lo": -2.5, "hi": 2.5, "amplitude": 2.0,
+         "period_s": 0.915, "noise_std": 0.02}],
+    "generation": {"train_duration_s": 45.0, "test_duration_s": 600.0},
+    "attacks": {"suite": "default", "target_signal": 1},
+}
+
+
+class TestLofGridWork:
+    def test_capture_costs_a_few_percent_of_all_pairs(self):
+        cfg = load_config_dict(_CAPTURE)
+        attacked, _ = inject(cfg, gen_trace(cfg, "test"))
+        X = attacked.signals[:24_000]
+        m = _distinct(X)
+        assert m >= 20_000
+        distances = baselines._distances
+        entries = []
+
+        def spy(*args):
+            d = distances(*args)
+            entries.append(d.size)
+            return d
+
+        lcfg = LofConfig(k_neighbors=cfg.baselines.lof_k)
+        with mock.patch.object(baselines, "_distances", spy):
+            got = lof_scores(X, lcfg)
+        assert sum(entries) < 0.05 * m * m, sum(entries) / m**2
+        with mock.patch.object(baselines, "_cell_edge", lambda *_: np.inf):
+            assert np.array_equal(got, lof_scores(X, lcfg))

@@ -136,6 +136,14 @@ class TestRateFlags:
         with pytest.raises(ValueError):
             rate_flags(np.array([0.0, 0.2, 0.1]), expected_period_ms=15.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timestamp_rejected(self, bad):
+        # a NaN gap compares False both ways, so the 0.1 ms flood gap
+        # after it would go unflagged
+        ts = np.array([0.0, 0.015, bad, 0.0151, 0.03])
+        with pytest.raises(ValueError, match="timestamp 2 is not finite"):
+            rate_flags(ts, expected_period_ms=15.0)
+
 
 class TestHistoryBuffer:
     def test_window_orders_oldest_to_newest(self):
