@@ -84,17 +84,22 @@ def bollinger_flags(series: np.ndarray, cfg: BollingerConfig) -> BollingerResult
         mean[w:] = wins.mean(axis=1)
         std[w:] = wins.std(axis=1)  # population std
     else:
+        # Python floats: the same IEEE operations as numpy scalars, at a
+        # fraction of the cost, and an overflow to inf raises no warning
         lam = 2.0 / (w + 1.0)
-        m = x[0]
-        v = 0.0
+        xs = x.tolist()
+        m, v = xs[0], 0.0
+        means, variances = [], []
         # step i is judged against the stats of x[0..i-1]
-        for i in range(1, n):
-            mean[i] = m
-            std[i] = np.sqrt(v)
-            delta = x[i] - m
+        for xi in xs[1:]:
+            means.append(m)
+            variances.append(v)
+            delta = xi - m
             incr = lam * delta
             m = m + incr
             v = (1.0 - lam) * (v + delta * incr)
+        mean[1:] = means
+        std[1:] = np.sqrt(variances)
     upper = mean + cfg.band_width * std
     lower = mean - cfg.band_width * std
     flags = np.zeros(n, dtype=np.int64)

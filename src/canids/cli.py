@@ -223,8 +223,9 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for key, rep in reports.items():
         (out_dir / f"report-{key}.txt").write_text(mx.report_text(rep, key))
+        columns = list(zip(*mx.report_rows(rep, key)))
         (out_dir / f"report-{key}.csv").write_text(table_text(
-            "metric,attack_kind,value", mx.report_rows(rep, key)))
+            "metric,attack_kind,value", columns))
         if rep.roc_points:
             (out_dir / f"roc-{key}.csv").write_text(mx.roc_csv(rep.roc_points))
     comparison = mx.variant_table(reports)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .detector import OcsvmModel, Scorer, StaticThreshold
 from .predictor import PredictorModel, predict_last_batch
-from .traces import ScalingParams, float_text, table_text
+from .traces import ScalingParams, float_cells, table_text
 
 DISPOSITIONS = ("Delivered", "DroppedAnomalous", "DroppedRateViolation")
 
@@ -262,7 +262,8 @@ def dispositions_csv(dispositions: list[FrameDisposition],
                      provenance: dict | None = None) -> str:
     """The disposition log in its documented CSV form; an unscored frame
     has an empty score cell."""
-    rows = ((float_text(d.timestamp), d.disposition,
-             "" if d.score is None else float_text(d.score))
-            for d in dispositions)
-    return table_text("timestamp,disposition,score", rows, provenance)
+    columns = [float_cells([d.timestamp for d in dispositions]),
+               [d.disposition for d in dispositions],
+               ["" if d.score is None else repr(float(d.score))
+                for d in dispositions]]
+    return table_text("timestamp,disposition,score", columns, provenance)

@@ -294,4 +294,5 @@ def variant_table(reports: dict[str, AttackReport]) -> str:
 
 
 def roc_csv(points: list[tuple[float, float]]) -> str:
-    return table_text("fpr,tpr", ((f"{x:.9g}", f"{y:.9g}") for x, y in points))
+    return table_text("fpr,tpr", [list(map("{:.9g}".format, axis))
+                                  for axis in zip(*points)])

@@ -10,7 +10,6 @@ the randomness of another.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +23,12 @@ from .controller import rate_flags
 from .tracegen import AttackSpec, generate_normal, inject_suite
 from .traces import (
     ScalingParams,
+    TableBlock,
     Trace,
     apply_scaling,
     fit_and_scale,
-    float_text,
+    float_cells,
+    int_cells,
     read_table,
     split_train_val,
     table_text,
@@ -288,13 +289,54 @@ def detection_csv(table: DetectionTable, provenance: dict | None = None) -> str:
     has an empty score cell."""
     prov = {**(provenance or {}), "message_id": f"{table.message_id:#x}",
             "variant": table.variant, "eval_from": table.eval_from}
-    bits = np.column_stack([table.labels, table.ml_flag, table.rate_fast,
-                            table.rate_slow, table.final_flag]).astype(str)
-    rows = ((float_text(ts), label, "" if math.isnan(s) else float_text(s),
-             *flags) for ts, s, (label, *flags) in zip(
-                 table.timestamps.tolist(), table.scores.tolist(),
-                 bits.tolist()))
-    return table_text(_TABLE_HEADER, rows, prov)
+    scores = float_cells(table.scores)
+    for i in np.flatnonzero(np.isnan(table.scores)).tolist():
+        scores[i] = ""
+    columns = [float_cells(table.timestamps), int_cells(table.labels), scores,
+               *map(int_cells, (table.ml_flag, table.rate_fast,
+                                table.rate_slow, table.final_flag))]
+    return table_text(_TABLE_HEADER, columns, prov)
+
+
+def _bit_array(cells: list[str]) -> np.ndarray:
+    """A column of '0' and '1' cells as 0/1 integers."""
+    return (np.frombuffer("".join(cells).encode(), dtype=np.uint8)
+            == ord("1")).astype(np.int64)
+
+
+def _detection_columns(columns: list[list[str]]) -> tuple | None:
+    """A block's timestamps, scores and (label and flag) bits, converted a
+    column at a time, or None when a cell fails."""
+    stamps, label, score, *flags = columns
+    bits = (label, *flags)
+    if not all(map(_BITS.issuperset, bits)):
+        return None
+    try:
+        ts = np.array(list(map(float, stamps)))
+        scores = np.array(list(map(float, [c or "nan" for c in score])))
+    except ValueError:
+        return None
+    return ts, scores, np.array([_bit_array(col) for col in bits])
+
+
+def _detection_rows(path: str, block: TableBlock) -> tuple:
+    """A block's timestamps, scores and bits, parsed row by row: the first
+    bad row raises ValueError naming path:line."""
+    stamps: list[float] = []
+    scores: list[float] = []
+    for lineno, fields in zip(block.lines, zip(*block.columns)):
+        if fields[1] not in _BITS or not _BITS.issuperset(fields[3:]):
+            raise ValueError(
+                f"{path}:{lineno}: label and flags must be 0 or 1")
+        try:
+            stamps.append(float(fields[0]))
+            scores.append(float(fields[2]) if fields[2] else np.nan)
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}:{lineno}: malformed row: {exc}") from None
+    bits = np.array([[cell == "1" for cell in block.columns[i]]
+                     for i in (1, 3, 4, 5, 6)], dtype=np.int64)
+    return np.array(stamps), np.array(scores), bits
 
 
 def parse_detection_csv(text: str, path: str = "<detections>") -> DetectionTable:
@@ -302,7 +344,11 @@ def parse_detection_csv(text: str, path: str = "<detections>") -> DetectionTable
     malformed provenance value (a variant not in VARIANTS included) or row,
     or a label or flag other than 0 and 1, raises ValueError naming
     path:line; an eval_from outside the records raises one naming path."""
-    comments, rows = read_table(path, _TABLE_HEADER, 7, text=text)
+    comments, parts = [], []
+    for block in read_table(path, _TABLE_HEADER, 7, text=text):
+        comments += block.comments
+        parts.append(_detection_columns(block.columns)
+                     or _detection_rows(path, block))
     prov = {}
     for lineno, key, value in comments:
         if key in _TABLE_KEYS:
@@ -314,28 +360,14 @@ def parse_detection_csv(text: str, path: str = "<detections>") -> DetectionTable
     if len(prov) != len(_TABLE_KEYS):
         raise ValueError(
             f"{path}: missing message_id/variant/eval_from provenance")
-    if not 0 <= prov["eval_from"] < len(rows):
+    stamps, scores, bits = (np.concatenate(c, axis=-1) for c in zip(*parts))
+    if not 0 <= prov["eval_from"] < len(stamps):
         raise ValueError(f"{path}: eval_from {prov['eval_from']} is outside "
-                         f"the {len(rows)} records")
-    stamps: list[float] = []
-    scores: list[float] = []
-    for lineno, fields in rows:
-        if fields[1] not in _BITS or not _BITS.issuperset(fields[3:]):
-            raise ValueError(
-                f"{path}:{lineno}: label and flags must be 0 or 1")
-        try:
-            stamps.append(float(fields[0]))
-            scores.append(float(fields[2]) if fields[2] else np.nan)
-        except ValueError as exc:
-            raise ValueError(
-                f"{path}:{lineno}: malformed row: {exc}") from None
-    labels, ml, fast, slow, final = (
-        np.array([fields[i] == "1" for _, fields in rows], dtype=np.int64)
-        for i in (1, 3, 4, 5, 6))
-    return DetectionTable(**prov, timestamps=np.array(stamps),
-                          labels=labels, scores=np.array(scores),
-                          ml_flag=ml, rate_fast=fast, rate_slow=slow,
-                          final_flag=final)
+                         f"the {len(stamps)} records")
+    labels, ml, fast, slow, final = bits
+    return DetectionTable(**prov, timestamps=stamps, labels=labels,
+                          scores=scores, ml_flag=ml, rate_fast=fast,
+                          rate_slow=slow, final_flag=final)
 
 
 # --------------------------------------------------------------------------

@@ -47,6 +47,9 @@ from .traces import Trace, from_json, json_value, window_arrays
 
 MODEL_VERSION = "predictor-v1"
 LOSS_MODES = ("last", "all")
+# gate pre-activations (rows x 4H) per block of windows `predict_last_batch`
+# runs at once: 256 rows of the small 16-unit model, 64 of the default
+_GATE_ENTRIES = 1 << 14
 
 
 class TrainingDiverged(RuntimeError):
@@ -283,19 +286,29 @@ def _backward_batch(params: dict[str, np.ndarray], cache: dict,
     return grads
 
 
-def predict_last_batch(model: PredictorModel, windows: np.ndarray,
-                       batch_size: int = 1024) -> np.ndarray:
+def predict_last_batch(model: PredictorModel,
+                       windows: np.ndarray) -> np.ndarray:
     """Last-step predictions for many windows (N, L, k) -> (N, k).
+
+    The windows run in near-equal blocks of at most `_GATE_ENTRIES` gate
+    entries each. No block of several windows is cut down to one: a
+    single row takes numpy's matrix-vector path, which rounds differently.
 
     Raises FloatingPointError if any prediction is not finite, which
     happens when a window holds non-finite values.
     """
     windows = np.asarray(windows, dtype=np.float64)
-    out = np.empty((len(windows), model.k))
-    for lo in range(0, len(windows), batch_size):
-        preds, _ = _forward_batch(model.params, windows[lo: lo + batch_size],
+    n = len(windows)
+    rows = max(2, _GATE_ENTRIES // (4 * model.hyper.hidden_dim))
+    n_blocks = -(-n // rows)
+    out = np.empty((n, model.k))
+    lo = 0
+    for i in range(n_blocks):
+        hi = lo + n // n_blocks + (i < n % n_blocks)
+        preds, _ = _forward_batch(model.params, windows[lo:hi],
                                   want_cache=False)
-        out[lo: lo + len(preds)] = preds[:, -1]
+        out[lo:hi] = preds[:, -1]
+        lo = hi
     _check_finite("predictions", out)
     return out
 

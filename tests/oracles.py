@@ -223,6 +223,33 @@ def sma_bands_oracle(x: np.ndarray, window: int, width: float):
     return mean, std, flags
 
 
+def ewma_bands_oracle(x: np.ndarray, window: int, width: float):
+    """Exponentially weighted mean/std of the values before each step (span
+    `window`), flag outside mean +- width*std after the first `window`
+    steps; one numpy scalar update per step."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    mean = np.full(n, np.nan)
+    std = np.full(n, np.nan)
+    lam = 2.0 / (window + 1.0)
+    m = x[0]
+    v = 0.0
+    for i in range(1, n):
+        mean[i] = m
+        std[i] = np.sqrt(v)
+        delta = x[i] - m
+        incr = lam * delta
+        m = m + incr
+        v = (1.0 - lam) * (v + delta * incr)
+    upper = mean + width * std
+    lower = mean - width * std
+    flags = np.zeros(n, dtype=np.int64)
+    judged = np.arange(n) >= window
+    flags[judged] = ((x[judged] > upper[judged])
+                     | (x[judged] < lower[judged])).astype(np.int64)
+    return mean, upper, lower, flags
+
+
 def persistence_mse(windows: np.ndarray, targets: np.ndarray) -> float:
     """MSE of the no-model predictor 'next value = current value'."""
     diff = targets - windows[:, -1, :]

@@ -1,5 +1,6 @@
 """Bollinger-band and LOF baselines against loop-form oracles."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,8 @@ from canids import baselines
 from canids.config import load_config_dict
 from canids.pipeline import gen_trace, inject
 
-from oracles import lof_scores_loop, naive_lof, sma_bands_oracle
+from oracles import (ewma_bands_oracle, lof_scores_loop, naive_lof,
+                     sma_bands_oracle)
 
 
 class TestSmaBollinger:
@@ -74,6 +76,21 @@ class TestSmaBollinger:
         assert np.allclose(b.mean[20:] - a.mean[20:], 1000.0, atol=1e-9)
 
 
+def _assert_ewma_matches_oracle(x, window, width):
+    """EWMA-BB's means, bands and flags equal the numpy-scalar loop's bit
+    for bit, and computing them raises no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = ewma_bands_oracle(x, window, width)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = bollinger_flags(x, BollingerConfig(window=window,
+                                                 band_width=width,
+                                                 mode="EWMA"))
+    for got, expected in zip((res.mean, res.upper, res.lower), want):
+        assert got.tobytes() == expected.tobytes()
+    assert np.array_equal(res.flags, want[3])
+
+
 class TestEwmaBollinger:
     def test_constant_series_stats_are_exact(self):
         res = bollinger_flags(np.full(40, 2.5),
@@ -106,6 +123,23 @@ class TestEwmaBollinger:
         assert np.allclose(res.mean[1:], means)
         assert np.allclose(res.upper[1:] - res.mean[1:],
                            2.0 * np.array(stds))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=hs.data(), window=hs.integers(2, 30),
+           width=hs.floats(0.1, 4.0))
+    def test_matches_scalar_loop_oracle_bit_for_bit(self, data, window,
+                                                    width):
+        x = np.array(data.draw(hs.lists(
+            hs.floats(-1e300, 1e300) | hs.floats(-10.0, 10.0),
+            min_size=window, max_size=200)))
+        _assert_ewma_matches_oracle(x, window, width)
+
+    def test_huge_payloads_raise_no_warning(self):
+        # a product of two near-1e300 deviations overflows to inf; the
+        # scalar-loop form warned on it, and CI turns warnings into errors
+        x = np.random.default_rng(4).normal(size=7200)
+        x[[100, 2000, 2001, 5000]] = [1e300, -1e300, 9e299, 1e300]
+        _assert_ewma_matches_oracle(x, 20, 2.0)
 
     def test_reacts_faster_than_sma_after_level_shift(self):
         x = np.concatenate([np.zeros(50), np.ones(50)])

@@ -199,11 +199,14 @@ class TestForward:
         manual, _ = mse_loss(predict_last_batch(m, X), Y)
         assert loss == pytest.approx(manual, rel=1e-12)
 
-    def test_batch_size_does_not_change_predictions(self):
+    def test_batch_size_does_not_change_predictions(self, monkeypatch):
         m = build_model(k=2, hyper=TINY, seed=5)
         X = np.random.default_rng(5).normal(size=(7, 4, 2))
-        a = predict_last_batch(m, X, batch_size=3)
-        b = predict_last_batch(m, X, batch_size=1000)
+        # blocks of 3, 2 and 2 windows, then one block of 7
+        monkeypatch.setattr(predictor, "_GATE_ENTRIES", 3 * 4 * TINY.hidden_dim)
+        a = predict_last_batch(m, X)
+        monkeypatch.setattr(predictor, "_GATE_ENTRIES", 1 << 20)
+        b = predict_last_batch(m, X)
         # BLAS may sum in a different order for different batch shapes
         assert np.allclose(a, b, rtol=0, atol=1e-14)
 

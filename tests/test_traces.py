@@ -1,10 +1,13 @@
 """Trace model, CSV round-trips, scaling, splits, windows."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
+from canids import pipeline, traces
 from canids.detector import VARIANTS
 from canids.pipeline import DetectionTable, detection_csv, parse_detection_csv
 from canids.traces import (
@@ -309,12 +312,214 @@ class TestScaling:
 
 class TestTableCodec:
     def test_comments_and_rows_keep_their_line_numbers(self):
-        text = table_text("h1,h2", [("1", "")], {"tool": "canids 0"})
+        text = table_text("h1,h2", [["1"], [""]], {"tool": "canids 0"})
         text = text.replace("h1,h2\n", "# free\x0ctext\u2028\n\nh1,h2\n"
                                         "# seed: 7\n")
-        comments, rows = read_table("t.csv", "h1,h2", 2, text=text)
-        assert comments == [(1, "tool", "canids 0"), (5, "seed", "7")]
-        assert rows == [(6, ["1", ""])]
+        (block,) = read_table("t.csv", "h1,h2", 2, text=text)
+        assert block.comments == [(1, "tool", "canids 0"), (5, "seed", "7")]
+        assert list(block.lines) == [6]
+        assert block.columns == [["1"], [""]]
+
+
+# in blocks of four lines, line 5 is the first row of a table's second
+# block, line 8 its last and line 9 the first row past that boundary
+_FIRST, _LAST, _NEXT = 5, 8, 9
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(traces, "_BLOCK_LINES", 4)
+
+
+def _one_block(read):
+    """`read()` with the whole table in one block."""
+    with mock.patch.object(traces, "_BLOCK_LINES", 1 << 20):
+        return read()
+
+
+def _raised(read) -> str:
+    with pytest.raises(ValueError) as exc:
+        read()
+    return str(exc.value)
+
+
+_TRACE_HEADER = "timestamp,message_id,k,sig_1,sig_2,label"
+
+
+def _trace_text(edit=None, line=None, n=20) -> str:
+    """A 20-row trace of SCHEMA; `edit` changes the cells of `line`."""
+    lines = ["# seed: 7", _TRACE_HEADER]
+    for i in range(n):
+        cells = [repr(i * 0.015), "0x101", "2", f"{i}.5", f"-{i}.25",
+                 str(i % 2)]
+        if len(lines) + 1 == line:
+            edit(cells)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _set(col, value):
+    def edit(cells):
+        cells[col] = value
+    return edit
+
+
+def _drop(col):
+    def edit(cells):
+        del cells[col]
+    return edit
+
+
+_TRACE_FAULTS = {
+    "malformed-float": (_set(3, "1.2.3"), "malformed row: could not "
+                        "convert string to float: '1.2.3'"),
+    "wrong-width": (_drop(4), "expected 6 columns, got 5"),
+    "bad-label": (_set(5, "2"), "label must be 0 or 1, got 2"),
+    "message-id": (_set(1, "0x202"),
+                   "message_id 0x202 does not match schema 0x101"),
+    "nan-timestamp": (_set(0, "nan"), "timestamp nan is not finite"),
+    # the row before line 5 or 9 ends the block before
+    "backward-timestamp": (_set(0, "-0.001"),
+                           "timestamps must be non-decreasing"),
+}
+
+_DETECTION_FAULTS = {
+    "malformed-float": (_set(2, "x"), "malformed row: could not convert "
+                        "string to float: 'x'"),
+    "wrong-width": (_drop(6), "expected 7 columns, got 6"),
+    "bad-label": (_set(1, "2"), "label and flags must be 0 or 1"),
+    "bad-flag": (_set(5, "-1"), "label and flags must be 0 or 1"),
+}
+
+
+def _detection_text(edit=None, line=None, n=20) -> str:
+    """A 20-row detection table, its provenance on lines 1-3 and its
+    header on line 4 (so line 5 is its first row); `edit` changes the
+    cells of `line`."""
+    t = DetectionTable(
+        message_id=0x55, variant="Diff", eval_from=2,
+        timestamps=np.arange(n) * 0.015, labels=np.arange(n) % 2,
+        scores=np.r_[np.nan, np.nan, np.linspace(-1, 1, n - 2)],
+        ml_flag=np.arange(n) // 3 % 2, rate_fast=np.zeros(n, dtype=int),
+        rate_slow=np.arange(n) // 5 % 2, final_flag=np.arange(n) // 3 % 2)
+    lines = detection_csv(t).splitlines()
+    if edit is not None:
+        cells = lines[line - 1].split(",")
+        edit(cells)
+        lines[line - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+class TestTableBlocks:
+    """Tables read in blocks load as they do in one; a fault in any block
+    raises the message a one-block read raises, naming the same line."""
+
+    def test_blocks_split_a_table_by_lines(self, small_blocks):
+        blocks = list(read_table("t.csv", _TRACE_HEADER, 6,
+                                 text=_trace_text()))
+        assert [list(b.lines) for b in blocks] == [
+            [3, 4], *(list(range(i, i + 4)) for i in (5, 9, 13, 17)),
+            [21, 22]]
+        assert blocks[0].comments == [(1, "seed", "7")]
+        assert [c for b in blocks for c in b.columns[0]] == \
+            [repr(i * 0.015) for i in range(20)]
+
+    def test_trace_loads_bit_identically(self, tmp_path, small_blocks):
+        p = tmp_path / "t.csv"
+        p.write_text(_trace_text())
+        small = load_trace(p, SCHEMA)
+        one = _one_block(lambda: load_trace(p, SCHEMA))
+        assert len(list(read_table(p, None, 6))) >= 3
+        assert _bits(small.timestamps) == _bits(one.timestamps)
+        assert _bits(small.signals) == _bits(one.signals)
+        assert np.array_equal(small.labels, one.labels)
+
+    def test_detection_table_loads_bit_identically(self, small_blocks):
+        text = _detection_text()
+        small = parse_detection_csv(text, "d.csv")
+        one = _one_block(lambda: parse_detection_csv(text, "d.csv"))
+        assert len(list(read_table("d.csv", None, 7, text=text))) >= 3
+        for col in ("timestamps", "scores"):
+            assert _bits(getattr(small, col)) == _bits(getattr(one, col))
+        for col in ("labels", "ml_flag", "rate_fast", "rate_slow",
+                    "final_flag"):
+            assert np.array_equal(getattr(small, col), getattr(one, col))
+        assert (small.message_id, small.variant, small.eval_from) == \
+            (one.message_id, one.variant, one.eval_from)
+
+    def test_scaling_sidecar_loads_bit_identically(self, tmp_path,
+                                                   small_blocks):
+        params = ScalingParams(mins=np.arange(13) * -0.1,
+                               maxs=np.arange(13) * 0.3 + 1e-3,
+                               signal_names=tuple(f"s{i}" for i in range(13)))
+        p = tmp_path / "s.csv"
+        save_scaling(params, p)
+        assert len(list(read_table(p, None, 3))) >= 3
+        small = load_scaling(p)
+        one = _one_block(lambda: load_scaling(p))
+        assert small.signal_names == one.signal_names == params.signal_names
+        assert _bits(small.mins) == _bits(one.mins) == _bits(params.mins)
+        assert _bits(small.maxs) == _bits(one.maxs) == _bits(params.maxs)
+
+    @pytest.mark.parametrize("line", [_FIRST, _LAST, _NEXT])
+    @pytest.mark.parametrize("fault", sorted(_TRACE_FAULTS))
+    def test_trace_fault_names_its_line(self, tmp_path, small_blocks, fault,
+                                        line):
+        edit, message = _TRACE_FAULTS[fault]
+        p = tmp_path / "t.csv"
+        p.write_text(_trace_text(edit, line))
+        raised = _raised(lambda: load_trace(p, SCHEMA))
+        assert raised == f"{p}:{line}: {message}"
+        assert _one_block(lambda: _raised(lambda: load_trace(p, SCHEMA))) \
+            == raised
+
+    @pytest.mark.parametrize("line", [_FIRST, _LAST, _NEXT])
+    @pytest.mark.parametrize("fault", sorted(_DETECTION_FAULTS))
+    def test_detection_fault_names_its_line(self, small_blocks, fault, line):
+        edit, message = _DETECTION_FAULTS[fault]
+        text = _detection_text(edit, line)
+
+        def read():
+            return parse_detection_csv(text, "d.csv")
+        assert _raised(read) == f"d.csv:{line}: {message}"
+        assert _one_block(lambda: _raised(read)) == _raised(read)
+
+    @pytest.mark.parametrize("line", [3, 4, 5])
+    def test_sidecar_fault_names_its_line(self, tmp_path, small_blocks,
+                                          line):
+        # a headerless table: blocks of four lines hold the rows 1-4, 5-8
+        rows = [f"s{i},0.0,1.0" for i in range(1, 10)]
+        rows[line - 1] = f"s{line},0.0,1.0.0"
+        p = tmp_path / "s.csv"
+        p.write_text("\n".join(rows) + "\n")
+        raised = _raised(lambda: load_scaling(p))
+        assert raised == (f"{p}:{line}: malformed row: could not convert "
+                          "string to float: '1.0.0'")
+        assert _one_block(lambda: _raised(lambda: load_scaling(p))) == raised
+
+    def test_comments_and_blank_lines_between_blocks(self, small_blocks):
+        text = _detection_text()
+        lines = text.splitlines()
+        # a comment and a blank line inside the rows, and provenance last
+        lines[9:9] = ["# note: between", ""]
+        lines.append("# seed: 7")
+        text = "\n".join(lines) + "\n"
+        back = parse_detection_csv(text, "d.csv")
+        want = parse_detection_csv(_detection_text(), "d.csv")
+        assert _bits(back.scores) == _bits(want.scores)
+        assert _raised(lambda: parse_detection_csv(
+            text.replace("0.015,", "0.015,x,", 1), "d.csv")).startswith(
+            "d.csv:6: expected 7 columns")
+
+    def test_well_formed_blocks_convert_a_column_at_a_time(
+            self, tmp_path, monkeypatch, small_blocks):
+        # the row-by-row parse is only for a block that has a fault
+        p = tmp_path / "t.csv"
+        p.write_text(_trace_text())
+        monkeypatch.setattr(traces, "_trace_rows", None)
+        monkeypatch.setattr(pipeline, "_detection_rows", None)
+        assert len(load_trace(p, SCHEMA)) == 20
+        assert len(parse_detection_csv(_detection_text(), "d.csv")) == 20
 
 
 # finite floats with the cases a table must keep bit for bit: signed zeros,
