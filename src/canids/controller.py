@@ -24,6 +24,20 @@ neither wave a flood frame through nor push every later frame out.
 Until the buffer has collected L accepted frames the stream is in warm-up:
 frames are rate-checked and buffered but delivered unscored.
 
+The history lives in one preallocated (2L, k) array with a moving start,
+so the window a frame is predicted from is a read-only view of it, not a
+fresh stack. Each buffer state gets one forward pass: the first frame
+after it that passes the rate check predicts from it, is scored against
+that prediction and pushes its value or a substitute, which ends the
+state; a rate-dropped frame neither predicts nor changes the buffer.
+Predicting right after a push, before the next frame is pulled, would
+spend a forward no frame uses at the end of every stream and save nothing
+in a closed loop, whose caller waits for either.
+
+With nothing dropped, the online scores equal offline detection's to
+float64 rounding, not bit for bit: the batch-1 forward takes numpy's
+matrix-vector BLAS path and offline blocks the matrix-matrix one.
+
 A frame whose scaled payload is not all finite (a NaN or infinite signal)
 cannot be scored and must never reach the buffer: it is dropped as
 anomalous with no score, and after warm-up the configured substitution
@@ -33,7 +47,6 @@ takes its place in the buffer.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,29 +142,54 @@ def rate_flags(timestamps: np.ndarray, expected_period_ms: float,
 
 
 class HistoryBuffer:
-    """Circular store of the L most recent accepted (scaled) signal vectors."""
+    """The L most recent accepted (scaled) signal vectors.
+
+    Rows live in one (2L, k) array allocated at the first push: each push
+    copies its vector in after the newest row, and once the array is full
+    the newest L-1 rows move to its front, one block copy every L+1 pushes.
+    The window is therefore always one contiguous slice, returned as a
+    read-only view with no copy; the next push may overwrite it.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._buf: deque[np.ndarray] = deque(maxlen=capacity)
+        self._rows: np.ndarray | None = None
+        self._end = 0  # one past the newest row
+        self._len = 0
 
     def push(self, vec: np.ndarray) -> None:
-        self._buf.append(np.asarray(vec, dtype=np.float64))
+        vec = np.asarray(vec, dtype=np.float64)
+        if self._rows is None:
+            self._rows = np.empty((2 * self.capacity,) + vec.shape)
+        elif vec.shape != self._rows.shape[1:]:
+            raise ValueError(f"vector of shape {vec.shape}, buffer holds "
+                             f"{self._rows.shape[1:]}")
+        if self._end == len(self._rows):
+            keep = self.capacity - 1
+            # the source rows lie past L, so a vec that views the newest
+            # row (a frozen substitute) is still intact after the move
+            self._rows[:keep] = self._rows[self._end - keep:]
+            self._end = keep
+        self._rows[self._end] = vec
+        self._end += 1
+        self._len = min(self._len + 1, self.capacity)
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return self._len
 
     @property
     def full(self) -> bool:
-        return len(self._buf) == self.capacity
+        return self._len == self.capacity
 
     def window(self) -> np.ndarray:
-        """Contents oldest to newest as an (L, k) array."""
+        """Contents oldest to newest as a read-only (L, k) view."""
         if not self.full:
             raise ValueError("buffer not yet full")
-        return np.stack(list(self._buf))
+        view = self._rows[self._end - self.capacity: self._end]
+        view.flags.writeable = False
+        return view
 
 
 @dataclass(frozen=True)
@@ -242,10 +280,8 @@ def run_online(stream, model: PredictorModel,
         score = (float(scorer.scores(pred[None], scaled[None])[0]) if finite
                  else None)
         if score is None or score < 0.0:
-            if config.substitution == "prediction":
-                buf.push(pred)
-            else:
-                buf.push(np.array(window[-1]))
+            buf.push(pred if config.substitution == "prediction"
+                     else window[-1])
             out.append(FrameDisposition(index=i, timestamp=ts,
                                         disposition="DroppedAnomalous",
                                         score=score, rate_flag=flag,

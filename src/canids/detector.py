@@ -63,11 +63,15 @@ def deviation_matrix(preds: np.ndarray, actuals: np.ndarray,
 # nu-one-class SVM
 
 
-def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """K(x, y) = exp(-gamma ||x - y||^2), row x column."""
+def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float,
+               B_sq: np.ndarray | None = None) -> np.ndarray:
+    """K(x, y) = exp(-gamma ||x - y||^2), row x column. B_sq, the squared
+    norms of B's rows, may come from a caller that keeps B fixed."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    d2 = (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+    if B_sq is None:
+        B_sq = np.sum(B * B, axis=1)
+    d2 = (np.sum(A * A, axis=1)[:, None] + B_sq[None, :]
           - 2.0 * (A @ B.T))
     np.clip(d2, 0.0, None, out=d2)
     return np.exp(-gamma * d2)
@@ -103,6 +107,8 @@ class OcsvmModel:
             raise ValueError("alphas must sum to 1")
         if not np.isfinite(self.rho):
             raise ValueError("rho must be finite")
+        # the support vectors' squared norms, for every decision_values call
+        object.__setattr__(self, "_sv_sq", np.sum(sv * sv, axis=1))
 
     @property
     def dim(self) -> int:
@@ -199,8 +205,8 @@ def decision_values(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != model.dim:
         raise ValueError(
             f"points have dim {X.shape[1]}, model expects {model.dim}")
-    return rbf_kernel(X, model.support_vectors, model.gamma) @ model.alphas \
-        - model.rho
+    return rbf_kernel(X, model.support_vectors, model.gamma,
+                      model._sv_sq) @ model.alphas - model.rho
 
 
 def anomaly_flags(model: OcsvmModel, X: np.ndarray) -> np.ndarray:

@@ -294,5 +294,15 @@ def variant_table(reports: dict[str, AttackReport]) -> str:
 
 
 def roc_csv(points: list[tuple[float, float]]) -> str:
-    return table_text("fpr,tpr", [list(map("{:.9g}".format, axis))
-                                  for axis in zip(*points)])
+    """An ROC curve as an `fpr,tpr` table of `%.9g` cells. A curve repeats
+    each rate along its runs, so each distinct value (by its bits, which
+    keeps -0.0 apart from 0.0) is formatted once."""
+    columns = []
+    for axis in zip(*points):
+        bits, inverse = np.unique(
+            np.asarray(axis, dtype=np.float64).view(np.int64),
+            return_inverse=True)
+        cells = np.array([f"{v:.9g}" for v in bits.view(np.float64).tolist()],
+                         dtype=object)
+        columns.append(cells[inverse].tolist())
+    return table_text("fpr,tpr", columns)

@@ -45,12 +45,32 @@ def init_linear(rng: np.random.Generator, d_out: int, d_in: int
 # --------------------------------------------------------------------------
 # LSTM layer
 
+# gate entries (rows x 4H) one call holds at once: the block height of
+# `predictor.predict_last_batch` (256 windows of a 16-unit model, 64 of the
+# default 64-unit one) and how many steps' input terms a layer computes in
+# one stacked product. Large batches stay at one step per call: hoisting
+# every step of a default-model training batch made each step slower.
+_GATE_ENTRIES = 1 << 14
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: 1/(1+e^-z) for z >= 0 and
     e^z/(1+e^z) below, both written with e = e^-|z| <= 1, so the numerator
-    max(e, z >= 0) is 1 or e (and NaN for NaN)."""
-    e = np.exp(-np.abs(z))
-    return np.maximum(e, z >= 0) / (1.0 + e)
+    max(e, copysign(1, z)) is 1 or e (1 at z = -0.0 too, where e = 1; NaN
+    for NaN).
+
+    Two buffers, each op in place: a float numerator keeps `maximum` on its
+    float-only loop, which costs half of the bool-operand one at gateway
+    sizes, and a large gate block makes no further temporaries.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.copysign(1.0, z)
+    np.maximum(e, num, out=num)
+    e += 1.0
+    num /= e
+    return num
 
 
 def init_lstm_cell(rng: np.random.Generator, hidden_dim: int, input_dim: int
@@ -77,10 +97,17 @@ def lstm_layer_forward(W_x: np.ndarray, W_h: np.ndarray, b: np.ndarray,
     initial state first, the gate activations (L, B, 4H) with tanh in the
     candidate block, and tanh(c) (L, B, H). Shapes are the caller's to
     check.
+
+    The input terms x_s W_x^T of as many steps as fit `_GATE_ENTRIES` run
+    as one stacked product, all L steps at batch 1 and one step at a time
+    from batch 256 of a 16-unit layer. Each stack item is the (B, D) @
+    (D, 4H) product that step alone would make, so the outputs do not
+    depend on how many steps share a call.
     """
     B, L, _ = X.shape
     H = W_h.shape[1]
     W_xT, W_hT = W_x.T, W_h.T
+    steps = max(1, _GATE_ENTRIES // (B * 4 * H))
     out = np.empty((B, L, H))
     h = c = np.zeros((B, H))
     if want_cache:
@@ -90,7 +117,11 @@ def lstm_layer_forward(W_x: np.ndarray, W_h: np.ndarray, b: np.ndarray,
         gates_all = np.empty((L, B, 4 * H))
         tcs = np.empty((L, B, H))
     for s in range(L):
-        z = X[:, s] @ W_xT + h @ W_hT + b
+        if s % steps == 0:
+            xw = np.matmul(X[:, s: s + steps].transpose(1, 0, 2), W_xT)
+        z = xw[s % steps]
+        z += h @ W_hT
+        z += b
         # one sigmoid pass over all four gate blocks; the candidate block's
         # sigmoid is discarded, which costs less than three separate passes
         gates = _sigmoid(z)
@@ -100,8 +131,7 @@ def lstm_layer_forward(W_x: np.ndarray, W_h: np.ndarray, b: np.ndarray,
         o = gates[:, 3 * H:]
         c = f * c + i * g
         tc = np.tanh(c)
-        h = o * tc
-        out[:, s] = h
+        h = np.multiply(o, tc, out=out[:, s])
         if want_cache:
             gates[:, 2 * H: 3 * H] = g
             hs[s + 1], cs[s + 1], gates_all[s], tcs[s] = h, c, gates, tc

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import model_io
+from . import model_io, nn
 from .nn import (
     AdamState,
     _check_finite,
@@ -47,9 +47,6 @@ from .traces import Trace, from_json, json_value, window_arrays
 
 MODEL_VERSION = "predictor-v1"
 LOSS_MODES = ("last", "all")
-# gate pre-activations (rows x 4H) per block of windows `predict_last_batch`
-# runs at once: 256 rows of the small 16-unit model, 64 of the default
-_GATE_ENTRIES = 1 << 14
 
 
 class TrainingDiverged(RuntimeError):
@@ -290,8 +287,8 @@ def predict_last_batch(model: PredictorModel,
                        windows: np.ndarray) -> np.ndarray:
     """Last-step predictions for many windows (N, L, k) -> (N, k).
 
-    The windows run in near-equal blocks of at most `_GATE_ENTRIES` gate
-    entries each. No block of several windows is cut down to one: a
+    The windows run in near-equal blocks of at most `nn._GATE_ENTRIES`
+    gate entries each. No block of several windows is cut down to one: a
     single row takes numpy's matrix-vector path, which rounds differently.
 
     Raises FloatingPointError if any prediction is not finite, which
@@ -299,7 +296,7 @@ def predict_last_batch(model: PredictorModel,
     """
     windows = np.asarray(windows, dtype=np.float64)
     n = len(windows)
-    rows = max(2, _GATE_ENTRIES // (4 * model.hyper.hidden_dim))
+    rows = max(2, nn._GATE_ENTRIES // (4 * model.hyper.hidden_dim))
     n_blocks = -(-n // rows)
     out = np.empty((n, model.k))
     lo = 0

@@ -198,6 +198,12 @@ class ScalingParams:
         if bad.any():
             names = ", ".join(n for n, b in zip(self.signal_names, bad) if b)
             raise ValueError(f"non-finite min or max for signal(s) {names}")
+        # the non-degenerate signals, their mins and spans, for every apply
+        span = maxs - mins
+        ok = span > 0
+        object.__setattr__(self, "_ok", ok)
+        object.__setattr__(self, "_ok_mins", mins[ok])
+        object.__setattr__(self, "_ok_spans", span[ok])
 
     @property
     def signal_count(self) -> int:
@@ -215,10 +221,9 @@ class ScalingParams:
             raise ValueError(
                 f"expected {self.signal_count} signals, got {values.shape[-1]}"
             )
-        span = self.maxs - self.mins
         out = np.zeros_like(values)
-        ok = span > 0
-        out[..., ok] = (values[..., ok] - self.mins[ok]) / span[ok]
+        out[..., self._ok] = (values[..., self._ok] - self._ok_mins) \
+            / self._ok_spans
         return out
 
 

@@ -1,11 +1,24 @@
 """Independent reference implementations used to verify the hand-built
 numerics. Nothing in here imports the solver code it checks; everything is
 a direct transcription of a definition, favoring obviousness over speed.
+The gateway loop oracle checks only the loop and its history buffer, so it
+builds on the rate check, scorer and predictor it shares with the gateway.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
+
+from canids.controller import (
+    FrameDisposition,
+    OnlineConfig,
+    RateCheckerState,
+    rate_check,
+)
+from canids.detector import Scorer
+from canids.predictor import predict_last_batch
 
 
 # --------------------------------------------------------------------------
@@ -363,3 +376,54 @@ def grad_check(fn, params: dict[str, np.ndarray], h: float = 1e-5,
             worst = max(worst, relative_error(float(flat_g[idx]), numeric))
         report[name] = worst
     return report
+
+
+# --------------------------------------------------------------------------
+# online gateway, deque buffer and one prediction per scored frame
+
+
+def run_online_loop(stream, model, detector, variant: str, scaling,
+                    expected_period_ms: float,
+                    config: OnlineConfig | None = None
+                    ) -> list[FrameDisposition]:
+    """The gateway loop with its history in a deque of the last L accepted
+    vectors, stacked afresh for every scored frame, and one forward pass
+    per scored frame. canids.controller.run_online must give the same
+    dispositions and scores bit for bit."""
+    config = config or OnlineConfig()
+    scorer = Scorer(detector, variant, model.k)
+    L = model.hyper.subsequence_length
+    state = RateCheckerState(expected_period_ms=expected_period_ms,
+                             tolerance_fraction=config.tolerance_fraction)
+    buf: deque[np.ndarray] = deque(maxlen=L)
+    out: list[FrameDisposition] = []
+    for i, (ts, raw) in enumerate(stream):
+        raw = np.asarray(raw, dtype=np.float64)
+        flag = rate_check(state, ts)
+        if flag == "too_fast":
+            out.append(FrameDisposition(i, ts, "DroppedRateViolation", None,
+                                        flag, len(buf) < L))
+            continue
+        scaled = scaling.apply(raw)
+        finite = bool(np.isfinite(scaled).all())
+        if len(buf) < L:
+            if finite:
+                buf.append(scaled)
+            out.append(FrameDisposition(
+                i, ts, "Delivered" if finite else "DroppedAnomalous", None,
+                flag, True))
+            continue
+        window = np.stack(list(buf))
+        pred = predict_last_batch(model, window[None])[0]
+        score = (float(scorer.scores(pred[None], scaled[None])[0]) if finite
+                 else None)
+        if score is None or score < 0.0:
+            buf.append(pred if config.substitution == "prediction"
+                       else np.array(window[-1]))
+            out.append(FrameDisposition(i, ts, "DroppedAnomalous", score,
+                                        flag, False))
+        else:
+            buf.append(scaled)
+            out.append(FrameDisposition(i, ts, "Delivered", score, flag,
+                                        False))
+    return out

@@ -24,6 +24,8 @@ from canids.pipeline import detect_with
 from canids.predictor import PredictorHyper, build_model, predict_last_batch
 from canids.traces import MessageSchema, ScalingParams, Trace
 
+from oracles import run_online_loop
+
 HYPER = PredictorHyper(subsequence_length=4, embed_dim=4, hidden_dim=4,
                        batch_size=8, learning_rate=1e-3, max_epochs=3,
                        patience=2)
@@ -168,6 +170,39 @@ class TestHistoryBuffer:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             HistoryBuffer(0)
+
+    def test_vector_shape_must_not_change(self):
+        buf = HistoryBuffer(2)
+        buf.push(np.zeros(3))
+        with pytest.raises(ValueError, match="shape"):
+            buf.push(np.zeros(2))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(capacity=hs.integers(1, 6), k=hs.integers(1, 3),
+           repeats=hs.lists(hs.booleans(), max_size=40))
+    def test_window_is_the_last_pushes(self, capacity, k, repeats):
+        # True pushes the window's newest row back in, as the freeze
+        # substitution does, through a view into the buffer itself
+        rng = np.random.default_rng(capacity * 100 + k * 10 + len(repeats))
+        buf = HistoryBuffer(capacity)
+        pushed = []
+        for repeat in repeats:
+            if repeat and buf.full:
+                vec = buf.window()[-1]
+                buf.push(vec)
+                pushed.append(pushed[-1])
+            else:
+                vec = rng.normal(size=k)
+                buf.push(vec)
+                pushed.append(vec.copy())
+                vec[:] = np.nan  # the buffer keeps its own copy
+            assert len(buf) == min(len(pushed), capacity)
+            assert buf.full == (len(pushed) >= capacity)
+            if buf.full:
+                window = buf.window()
+                assert np.array_equal(window, np.stack(pushed[-capacity:]))
+                with pytest.raises(ValueError, match="read-only"):
+                    window[0, 0] = 0.0
 
 
 def _clean_stream(n: int, k: int = 2, period: float = 0.015):
@@ -436,6 +471,76 @@ class TestOfflineOnlineEquivalence:
                             detector, variant, _unit_scaling(k), 15.0)
         assert all(d.disposition == "Delivered" for d in online)
         assert [d.score for d in online[L:]] == offline.scores[L:].tolist()
+
+    @pytest.mark.parametrize("variant", ["ST", "Diff"])
+    def test_scores_agree_to_rounding_at_realistic_width(self, variant):
+        # at 16 units the gateway's batch-1 forward takes numpy's
+        # matrix-vector BLAS path and offline blocks the matrix-matrix one,
+        # which round differently; at 4 units (above) both agree exactly
+        rng = np.random.default_rng(16)
+        k, L, n = 3, 8, 400
+        hyper = PredictorHyper(subsequence_length=L, embed_dim=16,
+                               hidden_dim=16)
+        model = build_model(k=k, hyper=hyper, seed=16)
+        schema = MessageSchema(message_id=0x101, signal_count=k,
+                               nominal_period_ms=15.0)
+        trace = Trace(schema=schema, timestamps=np.arange(n) * 0.015,
+                      signals=rng.uniform(size=(n, k)),
+                      labels=np.zeros(n, dtype=np.int64))
+        detector = _never_flags(variant, k if variant == "Diff" else 1, rng)
+        offline = detect_with(model, _unit_scaling(k), detector, variant,
+                              trace)
+        online = run_online(zip(trace.timestamps, trace.signals), model,
+                            detector, variant, _unit_scaling(k), 15.0)
+        assert all(d.disposition == "Delivered" for d in online)
+        gap = np.abs(np.array([d.score for d in online[L:]])
+                     - offline.scores[L:])
+        assert gap.max() <= 1e-12
+
+
+def _as_bits(dispositions: list[FrameDisposition]) -> list[tuple]:
+    """Each disposition with its floats as their exact reprs."""
+    return [(d.index, repr(d.timestamp), d.disposition, repr(d.score),
+             d.rate_flag, d.warmup) for d in dispositions]
+
+
+class TestGatewayMatchesLoopOracle:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(k=hs.integers(1, 3), L=hs.integers(1, 5),
+           frames=hs.lists(hs.tuples(
+               # flood, on-period (3 in 6), slow and backward gaps
+               hs.sampled_from([0.001, 0.015, 0.015, 0.015, 0.04, -0.03]),
+               hs.one_of(hs.none(), hs.none(), hs.sampled_from(
+                   [np.nan, np.inf, -np.inf])),
+               hs.one_of(hs.none(), hs.none(), hs.none(), hs.sampled_from(
+                   [np.nan, np.inf, -np.inf]))), min_size=6, max_size=40),
+           variant=hs.sampled_from(["ST", "Diff"]),
+           threshold=hs.sampled_from([1e-9, 0.5, 0.8, 100.0]),
+           nu=hs.sampled_from([0.1, 0.5]),
+           substitution=hs.sampled_from(["prediction", "freeze"]))
+    def test_same_dispositions_and_scores(self, k, L, frames, variant,
+                                          threshold, nu, substitution):
+        hyper = PredictorHyper(subsequence_length=L, embed_dim=4,
+                               hidden_dim=4)
+        model = build_model(k=k, hyper=hyper, seed=L * 10 + k)
+        rng = np.random.default_rng(k * 100 + len(frames))
+        stream, t = [], 0.0
+        for gap, bad, bad_stamp in frames:
+            t += gap
+            payload = rng.uniform(size=k)
+            if bad is not None:
+                payload[int(rng.integers(k))] = bad
+            stream.append((t if bad_stamp is None else bad_stamp, payload))
+        # the untrained model predicts about 0, so a frame's deviation is
+        # about minus its payload: some frames pass, others are dropped
+        if variant == "ST":
+            detector = StaticThreshold(threshold=threshold)
+        else:
+            detector = fit_ocsvm(-rng.uniform(size=(30, k)), nu=nu)
+        args = (model, detector, variant, _unit_scaling(k), 15.0,
+                OnlineConfig(substitution=substitution))
+        got = run_online(stream, *args)
+        assert _as_bits(got) == _as_bits(run_online_loop(stream, *args))
 
 
 class TestDispositionsCsv:

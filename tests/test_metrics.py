@@ -180,6 +180,24 @@ class TestRocAuc:
         assert lines[1] == "0,0"
         assert lines[2] == "0.5,1"
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_roc_csv_matches_formatting_every_cell(self, seed):
+        # coarse scores make long runs of one rate and many tied groups;
+        # -0.0 and NaN check that distinct bits keep distinct cells
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 3000))
+        labels = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(int)
+        labels[:2] = [0, 1]
+        scores = np.round(rng.normal(size=n), int(rng.integers(0, 4)))
+        points, _ = roc_auc(labels, scores)
+        points += [(-0.0, 0.0), (0.0, -0.0), (np.nan, 1 / 3), (1 / 3, np.nan)]
+        reference = "fpr,tpr\n" + "".join(
+            f"{x:.9g},{y:.9g}\n" for x, y in points)
+        assert roc_csv(points) == reference
+
+    def test_roc_csv_of_no_points_is_the_header(self):
+        assert roc_csv([]) == "fpr,tpr\n"
+
 
 def _toy_table():
     """Ten records at 10 ms spacing; one Constant interval over records

@@ -7,6 +7,7 @@ the independent route for derivative claims.
 import numpy as np
 import pytest
 
+from canids import nn
 from canids.nn import (
     AdamState,
     _sigmoid,
@@ -138,6 +139,30 @@ def test_layer_bit_identical_to_step_by_step_cell_oracle(B, L, D, H):
 
 def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 7, 57, 256])
+@pytest.mark.parametrize("steps", [3, 8])
+def test_steps_per_input_product_leave_bits_unchanged(monkeypatch, B, steps):
+    # a budget of B*4H*steps gate entries puts `steps` input terms in one
+    # stacked product (3 leaves a short last call at L=8); one step per
+    # call is the reference
+    L, D, H = 8, 16, 16
+    rng = np.random.default_rng(B * 10 + steps)
+    W_x, W_h, b = init_lstm_cell(rng, H, D)
+    b += rng.normal(size=b.shape)
+    X = rng.normal(scale=2.0, size=(B, L, D))
+    monkeypatch.setattr(nn, "_GATE_ENTRIES", 1)
+    ref_H, ref_cache = lstm_layer_forward(W_x, W_h, b, X, want_cache=True)
+    oracle_H, _ = _oracle_rollout(W_x, W_h, b, X, np.zeros((B, L, H)))
+    assert np.array_equal(_bits(ref_H), _bits(oracle_H))
+    monkeypatch.setattr(nn, "_GATE_ENTRIES", B * 4 * H * steps)
+    Hs_plain, _ = lstm_layer_forward(W_x, W_h, b, X, want_cache=False)
+    Hs, cache = lstm_layer_forward(W_x, W_h, b, X, want_cache=True)
+    assert np.array_equal(_bits(Hs_plain), _bits(ref_H))
+    assert np.array_equal(_bits(Hs), _bits(ref_H))
+    for got, want in zip(cache, ref_cache):
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestSigmoid:

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from canids import model_io, predictor
+from canids import model_io, nn, predictor
 from canids.nn import mse_loss, softmax
 from canids.predictor import (
     PredictorHyper,
@@ -203,9 +203,9 @@ class TestForward:
         m = build_model(k=2, hyper=TINY, seed=5)
         X = np.random.default_rng(5).normal(size=(7, 4, 2))
         # blocks of 3, 2 and 2 windows, then one block of 7
-        monkeypatch.setattr(predictor, "_GATE_ENTRIES", 3 * 4 * TINY.hidden_dim)
+        monkeypatch.setattr(nn, "_GATE_ENTRIES", 3 * 4 * TINY.hidden_dim)
         a = predict_last_batch(m, X)
-        monkeypatch.setattr(predictor, "_GATE_ENTRIES", 1 << 20)
+        monkeypatch.setattr(nn, "_GATE_ENTRIES", 1 << 20)
         b = predict_last_batch(m, X)
         # BLAS may sum in a different order for different batch shapes
         assert np.allclose(a, b, rtol=0, atol=1e-14)
