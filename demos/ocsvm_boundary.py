@@ -8,7 +8,7 @@ inside, '.' outside) with the training points overlaid ('o' inliers,
 
 import numpy as np
 
-from canids.detector import anomaly_flags, decision_values, fit_ocsvm
+from canids.detector import decision_values, fit_ocsvm
 
 N = 150
 NU = 0.1
@@ -19,7 +19,7 @@ def main() -> None:
     points = rng.normal(0.0, 0.8, size=(N, 2))
     model = fit_ocsvm(points, nu=NU, tol=1e-5)
 
-    flags = anomaly_flags(model, points)
+    flags = decision_values(model, points) < 0.0
     outlier_frac = flags.mean()
     sv_frac = len(model.alphas) / N
     print(f"n={N}, nu={NU}, gamma={model.gamma:.3f}, "

@@ -66,6 +66,14 @@ def _check_tolerance(tolerance_fraction: float) -> None:
         raise ValueError("tolerance_fraction must lie in (0, 1)")
 
 
+def _check_period(expected_period_ms: float) -> None:
+    """The rate gate's period rule. A NaN period flags no gap, an infinite
+    one flags every gap too fast, and one of 0 or below flags every
+    positive gap too slow."""
+    if not 0.0 < expected_period_ms < math.inf:
+        raise ValueError("expected_period_ms must be finite and positive")
+
+
 @dataclass
 class RateCheckerState:
     """Tracks inter-arrival times against the expected period.
@@ -83,8 +91,7 @@ class RateCheckerState:
     last_timestamp: float | None = None
 
     def __post_init__(self) -> None:
-        if self.expected_period_ms <= 0:
-            raise ValueError("expected_period_ms must be positive")
+        _check_period(self.expected_period_ms)
         _check_tolerance(self.tolerance_fraction)
 
 
@@ -124,6 +131,7 @@ def rate_flags(timestamps: np.ndarray, expected_period_ms: float,
     decreasing timestamps do: every comparison with NaN is False, so it
     would pass the rate check unflagged.
     """
+    _check_period(expected_period_ms)
     _check_tolerance(tolerance_fraction)
     ts = np.asarray(timestamps, dtype=np.float64)
     bad = ~np.isfinite(ts)

@@ -65,10 +65,9 @@ def deviation_matrix(preds: np.ndarray, actuals: np.ndarray,
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float,
                B_sq: np.ndarray | None = None) -> np.ndarray:
-    """K(x, y) = exp(-gamma ||x - y||^2), row x column. B_sq, the squared
-    norms of B's rows, may come from a caller that keeps B fixed."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(B, dtype=np.float64))
+    """K(x, y) = exp(-gamma ||x - y||^2), row x of A by row y of B, both
+    2-D float64 arrays. B_sq, the squared norms of B's rows, may come from
+    a caller that keeps B fixed."""
     if B_sq is None:
         B_sq = np.sum(B * B, axis=1)
     d2 = (np.sum(A * A, axis=1)[:, None] + B_sq[None, :]
@@ -199,19 +198,15 @@ def fit_ocsvm(points: np.ndarray, nu: float = 0.01, gamma: float | None = None,
 
 
 def decision_values(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
-    """f(x) = sum_i alpha_i K(sv_i, x) - rho per row. Positive means inside
-    (normal); the value doubles as the ROC score, lower = more anomalous."""
+    """f(x) = sum_i alpha_i K(sv_i, x) - rho per row. f < 0 is an anomaly,
+    strictly outside the boundary; f >= 0 is normal. The value doubles as
+    the ROC score, lower = more anomalous."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.dim:
         raise ValueError(
             f"points have dim {X.shape[1]}, model expects {model.dim}")
     return rbf_kernel(X, model.support_vectors, model.gamma,
                       model._sv_sq) @ model.alphas - model.rho
-
-
-def anomaly_flags(model: OcsvmModel, X: np.ndarray) -> np.ndarray:
-    """1 = anomaly, strictly outside the boundary (f < 0); f = 0 is normal."""
-    return (decision_values(model, X) < 0.0).astype(np.int64)
 
 
 # --------------------------------------------------------------------------

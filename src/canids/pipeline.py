@@ -23,9 +23,9 @@ from .controller import rate_flags
 from .tracegen import AttackSpec, generate_normal, inject_suite
 from .traces import (
     ScalingParams,
-    TableBlock,
     Trace,
     apply_scaling,
+    convert_block,
     fit_and_scale,
     float_cells,
     int_cells,
@@ -304,39 +304,20 @@ def _bit_array(cells: list[str]) -> np.ndarray:
             == ord("1")).astype(np.int64)
 
 
-def _detection_columns(columns: list[list[str]]) -> tuple | None:
+def _detection_columns(columns: list[list[str]]) -> tuple:
     """A block's timestamps, scores and (label and flag) bits, converted a
-    column at a time, or None when a cell fails."""
+    column at a time; the bits are checked first, then the floats
+    parsed."""
     stamps, label, score, *flags = columns
     bits = (label, *flags)
     if not all(map(_BITS.issuperset, bits)):
-        return None
+        raise ValueError("label and flags must be 0 or 1")
     try:
         ts = np.array(list(map(float, stamps)))
         scores = np.array(list(map(float, [c or "nan" for c in score])))
-    except ValueError:
-        return None
+    except ValueError as exc:
+        raise ValueError(f"malformed row: {exc}") from None
     return ts, scores, np.array([_bit_array(col) for col in bits])
-
-
-def _detection_rows(path: str, block: TableBlock) -> tuple:
-    """A block's timestamps, scores and bits, parsed row by row: the first
-    bad row raises ValueError naming path:line."""
-    stamps: list[float] = []
-    scores: list[float] = []
-    for lineno, fields in zip(block.lines, zip(*block.columns)):
-        if fields[1] not in _BITS or not _BITS.issuperset(fields[3:]):
-            raise ValueError(
-                f"{path}:{lineno}: label and flags must be 0 or 1")
-        try:
-            stamps.append(float(fields[0]))
-            scores.append(float(fields[2]) if fields[2] else np.nan)
-        except ValueError as exc:
-            raise ValueError(
-                f"{path}:{lineno}: malformed row: {exc}") from None
-    bits = np.array([[cell == "1" for cell in block.columns[i]]
-                     for i in (1, 3, 4, 5, 6)], dtype=np.int64)
-    return np.array(stamps), np.array(scores), bits
 
 
 def parse_detection_csv(text: str, path: str = "<detections>") -> DetectionTable:
@@ -347,8 +328,7 @@ def parse_detection_csv(text: str, path: str = "<detections>") -> DetectionTable
     comments, parts = [], []
     for block in read_table(path, _TABLE_HEADER, 7, text=text):
         comments += block.comments
-        parts.append(_detection_columns(block.columns)
-                     or _detection_rows(path, block))
+        parts.append(convert_block(path, block, _detection_columns))
     prov = {}
     for lineno, key, value in comments:
         if key in _TABLE_KEYS:

@@ -15,7 +15,9 @@ rows; see `table_text`). Floats are rendered by `float_cells`; the message
 ID is in hex.
 
 `read_table` hands a table over in blocks of `_BLOCK_LINES` lines, each
-as one list of cells per column, and the loaders convert whole columns.
+as one list of cells per column. Each loader has one converter, which
+turns a block's columns into arrays or raises the message of a faulty row;
+`convert_block` finds the block's first faulty row and names its line.
 Memory beyond the file's text and the arrays a load fills is one block's
 cells, however long the file: the hour-long 33 MB capture peaks at about
 2.2x its size, where a reader holding every row took 12x.
@@ -29,7 +31,7 @@ import itertools
 import math
 import types
 import typing
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -445,65 +447,61 @@ def read_table(path: str | Path, header: str | None, n_cols: int,
         raise ValueError(f"{path}: no records")
 
 
-def _trace_columns(schema: MessageSchema, columns: list[list[str]],
-                   last: float) -> tuple | None:
+def convert_block(path: str | Path, block: TableBlock,
+                  convert: Callable[[list[list[str]]], tuple]) -> tuple:
+    """`convert(columns)` of a block's rows. `convert` raises ValueError
+    on any faulty row, with the message a reader of that row alone would
+    give; the shortest prefix of the rows that it refuses then holds one
+    faulty row, its last, and that row's message is raised naming
+    path:line."""
+    try:
+        return convert(block.columns)
+    except ValueError as exc:
+        error = exc
+    good, bad = 0, len(block.lines)  # row counts it takes and refuses
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            convert([col[:mid] for col in block.columns])
+            good = mid
+        except ValueError as exc:
+            bad, error = mid, exc
+    raise ValueError(f"{path}:{block.lines[bad - 1]}: {error}") from None
+
+
+def _trace_columns(schema: MessageSchema, last: float,
+                   columns: list[list[str]]) -> tuple:
     """A block's timestamps, signals and labels, converted a column at a
-    time, or None when a cell or a check fails; `last` is the timestamp
-    before the block."""
+    time; `last` is the timestamp before the block. As a reader of one
+    row would, it parses every column, in the order of a row's cells,
+    before it checks the rows, in the order `load_trace` lists."""
     k = schema.signal_count
     stamps, mids, ks, *sigs, labs = columns
     try:
         ts = np.array(list(map(float, stamps)))
+        mid_of = {cell: int(cell, 0) for cell in set(mids)}
+        k_of = {cell: int(cell) for cell in set(ks)}
         signals = np.array([list(map(float, col)) for col in sigs]).T
         label_of = {cell: int(cell) for cell in set(labs)}
-        ids_ok = (all(int(c, 0) == schema.message_id for c in set(mids))
-                  and all(int(c) == k for c in set(ks)))
-    except ValueError:
-        return None
-    if not (ids_ok and set(label_of.values()) <= {0, 1}
-            and np.isfinite(ts).all()
-            and (np.diff(ts, prepend=last) >= 0).all()):
-        return None
+    except ValueError as exc:
+        raise ValueError(f"malformed row: {exc}") from None
+    for mid in mid_of.values():
+        if mid != schema.message_id:
+            raise ValueError(f"message_id {mid:#x} does not match schema "
+                             f"{schema.message_id:#x}")
+    for row_k in k_of.values():
+        if row_k != k:
+            raise ValueError(f"k={row_k} does not match schema k={k}")
+    for label in label_of.values():
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label}")
+    bad = ~np.isfinite(ts)
+    if bad.any():
+        raise ValueError(f"timestamp {float(ts[bad][0])} is not finite")
+    if len(ts) and (ts[0] < last or (ts[1:] < ts[:-1]).any()):
+        raise ValueError("timestamps must be non-decreasing")
     labels = np.array(list(map(label_of.__getitem__, labs)), dtype=np.int64)
     return ts, signals, labels
-
-
-def _trace_rows(path: str | Path, schema: MessageSchema, block: TableBlock,
-                last: float) -> tuple:
-    """A block's timestamps, signals and labels, parsed row by row: the
-    first bad row raises ValueError naming path:line."""
-    k = schema.signal_count
-    timestamps: list[float] = []
-    signals: list[list[float]] = []
-    labels: list[int] = []
-    for lineno, fields in zip(block.lines, zip(*block.columns)):
-        try:
-            ts = float(fields[0])
-            mid = int(fields[1], 0)
-            row_k = int(fields[2])
-            sigs = [float(f) for f in fields[3 : 3 + k]]
-            label = int(fields[3 + k])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
-        if mid != schema.message_id:
-            raise ValueError(
-                f"{path}:{lineno}: message_id {mid:#x} does not match schema "
-                f"{schema.message_id:#x}"
-            )
-        if row_k != k:
-            raise ValueError(f"{path}:{lineno}: k={row_k} does not match schema k={k}")
-        if label not in (0, 1):
-            raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
-        if not math.isfinite(ts):
-            raise ValueError(f"{path}:{lineno}: timestamp {ts} is not finite")
-        if ts < last:
-            raise ValueError(f"{path}:{lineno}: timestamps must be non-decreasing")
-        last = ts
-        timestamps.append(ts)
-        signals.append(sigs)
-        labels.append(label)
-    return (np.array(timestamps), np.array(signals).reshape(-1, k),
-            np.array(labels, dtype=np.int64))
 
 
 def load_trace(path: str | Path, schema: MessageSchema) -> Trace:
@@ -513,15 +511,15 @@ def load_trace(path: str | Path, schema: MessageSchema) -> Trace:
     naming path:line) on: non-numeric values, a message_id not matching
     the schema, a signal count not equal to the schema's, labels outside
     {0, 1}, a NaN or infinite timestamp, or decreasing timestamps. Each
-    block is converted a column at a time; a block that fails is parsed
-    again row by row, which finds the row to name.
+    block is converted a column at a time by `convert_block`, which names
+    the first faulty row of a block that fails.
     """
     parts = []
     last = -math.inf
     for block in read_table(path, _header(schema.signal_count),
                             schema.signal_count + 4):
-        part = (_trace_columns(schema, block.columns, last)
-                or _trace_rows(path, schema, block, last))
+        part = convert_block(
+            path, block, functools.partial(_trace_columns, schema, last))
         parts.append(part)
         if len(part[0]):
             last = part[0][-1]
@@ -537,6 +535,15 @@ def save_scaling(params: ScalingParams, path: str | Path) -> None:
     Path(path).write_text(table_text(None, columns))
 
 
+def _bounds(columns: list[list[str]]) -> tuple:
+    """A sidecar block's names, mins and maxs."""
+    names, lo, hi = columns
+    try:
+        return names, list(map(float, lo)), list(map(float, hi))
+    except ValueError as exc:
+        raise ValueError(f"malformed row: {exc}") from None
+
+
 def load_scaling(path: str | Path) -> ScalingParams:
     """Read the scaling sidecar; a malformed bound or one ScalingParams
     refuses raises ValueError naming path:line or path."""
@@ -544,18 +551,10 @@ def load_scaling(path: str | Path) -> ScalingParams:
     mins: list[float] = []
     maxs: list[float] = []
     for block in read_table(path, None, 3):
-        name, lo, hi = block.columns
-        try:
-            mins += map(float, lo)
-            maxs += map(float, hi)
-        except ValueError:
-            for lineno, bounds in zip(block.lines, zip(lo, hi)):
-                try:
-                    list(map(float, bounds))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{path}:{lineno}: malformed row: {exc}") from None
+        name, lo, hi = convert_block(path, block, _bounds)
         names += name
+        mins += lo
+        maxs += hi
     try:
         return ScalingParams(np.array(mins), np.array(maxs), tuple(names))
     except ValueError as exc:

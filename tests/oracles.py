@@ -2,12 +2,16 @@
 numerics. Nothing in here imports the solver code it checks; everything is
 a direct transcription of a definition, favoring obviousness over speed.
 The gateway loop oracle checks only the loop and its history buffer, so it
-builds on the rate check, scorer and predictor it shares with the gateway.
+builds on the rate check, scorer and predictor it shares with the gateway;
+the row-by-row table readers check only the conversion of rows, so they
+build on the line splitting of `read_table`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +22,15 @@ from canids.controller import (
     rate_check,
 )
 from canids.detector import Scorer
+from canids.pipeline import _TABLE_HEADER, _TABLE_KEYS, DetectionTable
 from canids.predictor import predict_last_batch
+from canids.traces import (
+    MessageSchema,
+    ScalingParams,
+    TableBlock,
+    Trace,
+    read_table,
+)
 
 
 # --------------------------------------------------------------------------
@@ -427,3 +439,136 @@ def run_online_loop(stream, model, detector, variant: str, scaling,
             out.append(FrameDisposition(i, ts, "Delivered", score, flag,
                                         False))
     return out
+
+
+# --------------------------------------------------------------------------
+# table readers, one row at a time: the trace, detection table and scaling
+# sidecar readers must give the same arrays bit for bit, or the same error
+
+
+def trace_rows(path: str | Path, schema: MessageSchema, block: TableBlock,
+               last: float) -> tuple:
+    """A block's timestamps, signals and labels, parsed row by row: the
+    first bad row raises ValueError naming path:line."""
+    k = schema.signal_count
+    timestamps: list[float] = []
+    signals: list[list[float]] = []
+    labels: list[int] = []
+    for lineno, fields in zip(block.lines, zip(*block.columns)):
+        try:
+            ts = float(fields[0])
+            mid = int(fields[1], 0)
+            row_k = int(fields[2])
+            sigs = [float(f) for f in fields[3 : 3 + k]]
+            label = int(fields[3 + k])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+        if mid != schema.message_id:
+            raise ValueError(
+                f"{path}:{lineno}: message_id {mid:#x} does not match schema "
+                f"{schema.message_id:#x}"
+            )
+        if row_k != k:
+            raise ValueError(f"{path}:{lineno}: k={row_k} does not match schema k={k}")
+        if label not in (0, 1):
+            raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
+        if not math.isfinite(ts):
+            raise ValueError(f"{path}:{lineno}: timestamp {ts} is not finite")
+        if ts < last:
+            raise ValueError(f"{path}:{lineno}: timestamps must be non-decreasing")
+        last = ts
+        timestamps.append(ts)
+        signals.append(sigs)
+        labels.append(label)
+    return (np.array(timestamps), np.array(signals).reshape(-1, k),
+            np.array(labels, dtype=np.int64))
+
+
+def load_trace_rows(path: str | Path, schema: MessageSchema) -> Trace:
+    """canids.traces.load_trace with every block parsed by `trace_rows`."""
+    k = schema.signal_count
+    header = "timestamp,message_id,k," + ",".join(
+        f"sig_{i + 1}" for i in range(k)) + ",label"
+    parts = []
+    last = -math.inf
+    for block in read_table(path, header, k + 4):
+        part = trace_rows(path, schema, block, last)
+        parts.append(part)
+        if len(part[0]):
+            last = part[0][-1]
+    timestamps, signals, labels = (np.concatenate(c) for c in zip(*parts))
+    return Trace(schema=schema, timestamps=timestamps, signals=signals,
+                 labels=labels)
+
+
+_BITS = frozenset(("0", "1"))
+
+
+def detection_rows(path: str, block: TableBlock) -> tuple:
+    """A block's timestamps, scores and bits, parsed row by row: the first
+    bad row raises ValueError naming path:line."""
+    stamps: list[float] = []
+    scores: list[float] = []
+    for lineno, fields in zip(block.lines, zip(*block.columns)):
+        if fields[1] not in _BITS or not _BITS.issuperset(fields[3:]):
+            raise ValueError(
+                f"{path}:{lineno}: label and flags must be 0 or 1")
+        try:
+            stamps.append(float(fields[0]))
+            scores.append(float(fields[2]) if fields[2] else np.nan)
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}:{lineno}: malformed row: {exc}") from None
+    bits = np.array([[cell == "1" for cell in block.columns[i]]
+                     for i in (1, 3, 4, 5, 6)], dtype=np.int64)
+    return np.array(stamps), np.array(scores), bits
+
+
+def parse_detection_rows(text: str, path: str = "<detections>"
+                         ) -> DetectionTable:
+    """canids.pipeline.parse_detection_csv with every block parsed by
+    `detection_rows`."""
+    comments, parts = [], []
+    for block in read_table(path, _TABLE_HEADER, 7, text=text):
+        comments += block.comments
+        parts.append(detection_rows(path, block))
+    prov = {}
+    for lineno, key, value in comments:
+        if key in _TABLE_KEYS:
+            try:
+                prov[key] = _TABLE_KEYS[key](value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed {key} "
+                                 f"{value!r}") from None
+    if len(prov) != len(_TABLE_KEYS):
+        raise ValueError(
+            f"{path}: missing message_id/variant/eval_from provenance")
+    stamps, scores, bits = (np.concatenate(c, axis=-1) for c in zip(*parts))
+    if not 0 <= prov["eval_from"] < len(stamps):
+        raise ValueError(f"{path}: eval_from {prov['eval_from']} is outside "
+                         f"the {len(stamps)} records")
+    labels, ml, fast, slow, final = bits
+    return DetectionTable(**prov, timestamps=stamps, labels=labels,
+                          scores=scores, ml_flag=ml, rate_fast=fast,
+                          rate_slow=slow, final_flag=final)
+
+
+def load_scaling_rows(path: str | Path) -> ScalingParams:
+    """canids.traces.load_scaling with every row's bounds parsed alone."""
+    names: list[str] = []
+    mins: list[float] = []
+    maxs: list[float] = []
+    for block in read_table(path, None, 3):
+        for lineno, (name, lo, hi) in zip(block.lines, zip(*block.columns)):
+            try:
+                bounds = list(map(float, (lo, hi)))
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed row: {exc}") from None
+            names.append(name)
+            mins.append(bounds[0])
+            maxs.append(bounds[1])
+    try:
+        return ScalingParams(np.array(mins), np.array(maxs), tuple(names))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -138,6 +138,17 @@ class TestRateFlags:
         with pytest.raises(ValueError):
             rate_flags(np.array([0.0, 0.2, 0.1]), expected_period_ms=15.0)
 
+    @pytest.mark.parametrize("period", [np.nan, np.inf, 0.0, -15.0])
+    def test_period_must_be_finite_and_positive(self, period):
+        # a NaN period reads every gap ok, so a 0.1 ms flood would pass; a
+        # negative one flags every gap too slow
+        ts = np.arange(5) * 1e-4
+        match = "expected_period_ms must be finite and positive"
+        with pytest.raises(ValueError, match=match):
+            RateCheckerState(expected_period_ms=period)
+        with pytest.raises(ValueError, match=match):
+            rate_flags(ts, expected_period_ms=period)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_timestamp_rejected(self, bad):
         # a NaN gap compares False both ways, so the 0.1 ms flood gap

@@ -16,7 +16,6 @@ from canids.detector import (
     OcsvmModel,
     StaticThreshold,
     Scorer,
-    anomaly_flags,
     check_pairing,
     decision_values,
     deviation_matrix,
@@ -169,7 +168,7 @@ class TestOcsvmBehavior:
         X = np.zeros((10, 2))
         model = fit_ocsvm(X, nu=0.5, gamma=1.0)
         pts = np.array([[0.0, 0.0], [10.0, 10.0]])
-        assert anomaly_flags(model, pts).tolist() == [0, 1]
+        assert (decision_values(model, pts) < 0.0).tolist() == [0, 1]
 
     def test_boundary_value_is_normal(self):
         # two coincident support vectors, rho exactly at the kernel value
@@ -177,7 +176,8 @@ class TestOcsvmBehavior:
                            alphas=np.array([0.5, 0.5]), rho=1.0,
                            gamma=1.0, nu=0.5, n_train=2)
         assert decision_values(model, np.zeros((1, 1)))[0] == 0.0
-        assert anomaly_flags(model, np.array([[0.0], [5.0]])).tolist() == [0, 1]
+        assert (decision_values(model, np.array([[0.0], [5.0]]))
+                < 0.0).tolist() == [0, 1]
 
     def test_gamma_defaults_to_reciprocal_dimension(self):
         X = np.random.default_rng(7).normal(size=(12, 4))

@@ -1,5 +1,6 @@
 """Trace model, CSV round-trips, scaling, splits, windows."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from canids.traces import (
     window_arrays,
     write_trace,
 )
+from oracles import load_scaling_rows, load_trace_rows, parse_detection_rows
 
 SCHEMA = MessageSchema(message_id=0x101, signal_count=2,
                        nominal_period_ms=15.0)
@@ -513,13 +515,134 @@ class TestTableBlocks:
 
     def test_well_formed_blocks_convert_a_column_at_a_time(
             self, tmp_path, monkeypatch, small_blocks):
-        # the row-by-row parse is only for a block that has a fault
+        # one converter call per block: the search for a faulty row is only
+        # for a block that has one
         p = tmp_path / "t.csv"
         p.write_text(_trace_text())
-        monkeypatch.setattr(traces, "_trace_rows", None)
-        monkeypatch.setattr(pipeline, "_detection_rows", None)
+        calls = []
+        for module, name in ((traces, "_trace_columns"),
+                             (pipeline, "_detection_columns")):
+            def spy(*args, real=getattr(module, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(module, name, spy)
         assert len(load_trace(p, SCHEMA)) == 20
-        assert len(parse_detection_csv(_detection_text(), "d.csv")) == 20
+        assert calls == ["_trace_columns"] * len(list(read_table(p, None, 6)))
+        calls.clear()
+        text = _detection_text()
+        assert len(parse_detection_csv(text, "d.csv")) == 20
+        assert calls == ["_detection_columns"] * len(
+            list(read_table("d.csv", None, 7, text=text)))
+
+
+# what a fault writes over a cell, and the columns it may hit: in any
+# column a malformed, empty, NaN or infinite cell; then a wrong message_id
+# or k, label 2, flag -1, and a stamp before the rows around it or after
+# them (the next row is then the backward one)
+_ANY_CELL = ("1.2.3", "", "nan", "inf", "-inf")
+
+
+def _trace_cell_faults(width: int) -> list:
+    """The faults of a trace of `width` columns."""
+    return [*((cell, range(width)) for cell in _ANY_CELL), ("0x202", [1]),
+            ("3", [2]), ("2", [width - 1]), ("-0.5", [0]), ("1e9", [0])]
+
+
+_DETECTION_CELL_FAULTS = [*((cell, range(7)) for cell in _ANY_CELL),
+                         ("2", [1]), ("-1", [3, 4, 5, 6]), ("-0.5", [0]),
+                         ("1e9", [0])]
+_SIDECAR_CELL_FAULTS = [(cell, [1, 2]) for cell in _ANY_CELL]
+_ORACLE = settings(max_examples=300, derandomize=True, deadline=None,
+                   suppress_health_check=[
+                       HealthCheck.function_scoped_fixture])
+_ORACLE_BLOCKS = hs.sampled_from([1, 2, 3, 4, 7, 1 << 14])
+
+
+def _with_faults(data, text: str, faults: list, header: int = 1) -> str:
+    """`text` with 1-4 cells of one or two of its rows (the lines with a
+    comma past the `header` lines) overwritten by `faults` entries."""
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines)
+            if "," in line and not line.startswith("#")][header:]
+    rows = data.draw(hs.lists(hs.sampled_from(rows), min_size=1,
+                              max_size=2))
+    for _ in range(data.draw(hs.integers(1, 4))):
+        i = data.draw(hs.sampled_from(rows))
+        cell, columns = data.draw(hs.sampled_from(faults))
+        cells = lines[i].split(",")
+        cells[data.draw(hs.sampled_from(columns))] = cell
+        lines[i] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(read):
+    """`read()`, or the message of the ValueError it raises."""
+    try:
+        return read()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same(got, want) -> None:
+    """The same message, or dataclasses whose fields are equal (arrays
+    bit for bit)."""
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+class TestReadersMatchRowOracle:
+    """Tables with faulty cells, read in blocks of any height, load as the
+    row-by-row readers of tests/oracles.py load them, or raise the same
+    message."""
+
+    @_ORACLE
+    @given(data=hs.data(), n=hs.integers(1, 30), k=hs.integers(1, 3),
+           lines=_ORACLE_BLOCKS)
+    def test_trace(self, tmp_path, data, n, k, lines):
+        schema = MessageSchema(message_id=0x101, signal_count=k,
+                               nominal_period_ms=15.0)
+        rng = np.random.default_rng(n)
+        t = Trace(schema=schema, timestamps=np.arange(n) * 0.015,
+                  signals=rng.normal(size=(n, k)),
+                  labels=rng.integers(0, 2, size=n))
+        p = tmp_path / "t.csv"
+        write_trace(t, p, provenance={"seed": 7})
+        p.write_text(_with_faults(data, p.read_text(),
+                                 _trace_cell_faults(k + 4)))
+        with mock.patch.object(traces, "_BLOCK_LINES", lines):
+            _assert_same(_outcome(lambda: load_trace(p, schema)),
+                         _outcome(lambda: load_trace_rows(p, schema)))
+
+    @_ORACLE
+    @given(data=hs.data(), n=hs.integers(3, 30), lines=_ORACLE_BLOCKS)
+    def test_detection_table(self, data, n, lines):
+        text = _with_faults(data, _detection_text(n=n),
+                            _DETECTION_CELL_FAULTS)
+        with mock.patch.object(traces, "_BLOCK_LINES", lines):
+            _assert_same(_outcome(lambda: parse_detection_csv(text, "d.csv")),
+                         _outcome(lambda: parse_detection_rows(text, "d.csv")))
+
+    @_ORACLE
+    @given(data=hs.data(), n=hs.integers(1, 12), lines=_ORACLE_BLOCKS)
+    def test_scaling_sidecar(self, tmp_path, data, n, lines):
+        params = ScalingParams(mins=np.arange(n) * -0.1,
+                               maxs=np.arange(n) * 0.3 + 1e-3,
+                               signal_names=tuple(f"s{i}" for i in range(n)))
+        p = tmp_path / "s.csv"
+        save_scaling(params, p)
+        p.write_text(_with_faults(data, p.read_text(), _SIDECAR_CELL_FAULTS,
+                                 header=0))
+        with mock.patch.object(traces, "_BLOCK_LINES", lines):
+            _assert_same(_outcome(lambda: load_scaling(p)),
+                         _outcome(lambda: load_scaling_rows(p)))
 
 
 # finite floats with the cases a table must keep bit for bit: signed zeros,
