@@ -37,6 +37,7 @@ from .traces import (
     read_text,
     save_scaling,
     table_text,
+    write_text,
     write_trace,
 )
 
@@ -178,7 +179,7 @@ def cmd_detect(args) -> int:
     trace = load_trace(args.trace, schema)
     table = pl.detect_with(model, scaling, detector, variant, trace,
                            tolerance_fraction=args.tolerance)
-    Path(args.out).write_text(pl.detection_csv(table, _provenance(src)))
+    write_text(args.out, pl.detection_csv(table, _provenance(src)))
     flagged = int(table.final_flag.sum())
     print(f"scored {len(table)} records with variant {variant}: "
           f"{flagged} flagged")
@@ -222,14 +223,14 @@ def cmd_eval(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for key, rep in reports.items():
-        (out_dir / f"report-{key}.txt").write_text(mx.report_text(rep, key))
+        write_text(out_dir / f"report-{key}.txt", mx.report_text(rep, key))
         columns = list(zip(*mx.report_rows(rep, key)))
-        (out_dir / f"report-{key}.csv").write_text(table_text(
-            "metric,attack_kind,value", columns))
+        write_text(out_dir / f"report-{key}.csv",
+                   table_text("metric,attack_kind,value", columns))
         if rep.roc_points:
-            (out_dir / f"roc-{key}.csv").write_text(mx.roc_csv(rep.roc_points))
+            write_text(out_dir / f"roc-{key}.csv", mx.roc_csv(rep.roc_points))
     comparison = mx.variant_table(reports)
-    (out_dir / "variants.txt").write_text(comparison + "\n")
+    write_text(out_dir / "variants.txt", comparison + "\n")
     print(comparison)
     print(f"wrote {len(reports)} report(s) to {out_dir}/")
     return EXIT_OK
@@ -244,8 +245,8 @@ def cmd_simulate(args) -> int:
     dispositions = run_online(zip(trace.timestamps, trace.signals), model,
                               detector, variant, scaling,
                               schema.nominal_period_ms, config)
-    Path(args.out).write_text(
-        dispositions_csv(dispositions, _provenance(src, variant=variant)))
+    write_text(args.out,
+               dispositions_csv(dispositions, _provenance(src, variant=variant)))
     counts: dict[str, int] = {}
     for d in dispositions:
         counts[d.disposition] = counts.get(d.disposition, 0) + 1

@@ -131,7 +131,6 @@ class ExperimentConfig:
     detector: DetectorConfig
     baselines: BaselineConfig
     config_hash: str = ""
-    source_path: str = ""
 
     def __post_init__(self) -> None:
         if len(self.signals) != self.schema.signal_count:
@@ -166,17 +165,16 @@ def _parse_schema(d) -> MessageSchema:
     return from_json(MessageSchema, d, "schema")
 
 
-def load_config_dict(doc: dict, config_hash: str = "",
-                     source_path: str = "") -> ExperimentConfig:
+def load_config_dict(doc: dict, config_hash: str = "") -> ExperimentConfig:
     """Build and check the config from a parsed JSON document; any invalid
     key or value raises ConfigError naming its key path."""
     try:
-        return _parse(doc, config_hash, source_path)
+        return _parse(doc, config_hash)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _parse(doc, config_hash: str, source_path: str) -> ExperimentConfig:
+def _parse(doc, config_hash: str) -> ExperimentConfig:
     if type(doc) is not dict:
         raise ConfigError("top level must be a JSON object")
     _expect_keys(doc, "config", {
@@ -224,7 +222,7 @@ def _parse(doc, config_hash: str, source_path: str) -> ExperimentConfig:
                            "detector"),
         baselines=from_json(BaselineConfig, doc.get("baselines", {}),
                             "baselines"),
-        config_hash=config_hash, source_path=source_path)
+        config_hash=config_hash)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -243,4 +241,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
     digest = hashlib.sha256(raw).hexdigest()[:16]
-    return load_config_dict(doc, config_hash=digest, source_path=str(path))
+    return load_config_dict(doc, config_hash=digest)

@@ -184,8 +184,8 @@ def lstm_layer_backward(W_x: np.ndarray, W_h: np.ndarray, cache: tuple,
 # --------------------------------------------------------------------------
 # softmax / loss
 
-def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax along axis (max subtraction).
+def softmax(v: np.ndarray) -> np.ndarray:
+    """Stable softmax along the last axis (max subtraction).
 
     -inf entries mask their position: they get weight exactly 0. NaN,
     +inf and a row with no finite entry raise FloatingPointError. All
@@ -193,15 +193,15 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     only values scanned.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[axis] == 0:
+    if v.shape[-1] == 0:
         raise ValueError("softmax of empty input")
-    top = v.max(axis=axis, keepdims=True)
+    top = v.max(axis=-1, keepdims=True)
     if not np.isfinite(top).all():
         raise FloatingPointError(
             "softmax input holds NaN or +inf, or a row with no finite entry")
     e = v - top
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -218,21 +218,24 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 # --------------------------------------------------------------------------
 # ADAM
 
+# ADAM's moment decay rates and denominator guard; the learning rate is
+# its only training knob
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected ADAM; moment slots created lazily per parameter name."""
+    """Bias-corrected ADAM at learning rate lr, with the fixed decay rates
+    and guard above; moment slots created lazily per parameter name."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.lr <= 0 or not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ValueError("bad ADAM hyperparameters")
+        if self.lr <= 0:
+            raise ValueError("ADAM lr must be positive")
         if self.step_count < 0:
             raise ValueError("step_count must be >= 0")
 
@@ -242,8 +245,8 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
     """One update over every entry of `grads`; params are updated in place."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     for name, g in grads.items():
         p = params[name]
         if g.shape != p.shape:
@@ -252,9 +255,9 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         _check_finite(f"gradient {name!r}", g)
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
     return params

@@ -46,17 +46,16 @@ def stage_seed(base_seed: int, stage: str) -> int:
 # generation / injection
 
 
-def gen_trace(cfg: ExperimentConfig, role: str,
-              seed: int | None = None, duration: float | None = None) -> Trace:
-    """Generate the clean trace for a role ('train' or 'test')."""
+def gen_trace(cfg: ExperimentConfig, role: str) -> Trace:
+    """Generate the clean trace for a role ('train' or 'test'): the
+    role's duration from cfg.generation, its seed from cfg.seed. Another
+    seed or duration is another config, `dataclasses.replace(cfg, ...)`."""
     if role not in ("train", "test"):
         raise ValueError("role must be 'train' or 'test'")
-    if duration is None:
-        duration = (cfg.generation.train_duration_s if role == "train"
-                    else cfg.generation.test_duration_s)
-    base = cfg.seed if seed is None else seed
+    duration = (cfg.generation.train_duration_s if role == "train"
+                else cfg.generation.test_duration_s)
     return generate_normal(cfg.schema, list(cfg.signals), duration,
-                           seed=stage_seed(base, f"gen-{role}"))
+                           seed=stage_seed(cfg.seed, f"gen-{role}"))
 
 
 # default suite layout, as fractions of the trace span: five non-overlapping
@@ -109,11 +108,10 @@ def expand_attacks(cfg: ExperimentConfig, trace: Trace) -> list[AttackSpec]:
     ]
 
 
-def inject(cfg: ExperimentConfig, trace: Trace,
-           seed: int | None = None) -> tuple[Trace, list[AttackSpec]]:
+def inject(cfg: ExperimentConfig,
+           trace: Trace) -> tuple[Trace, list[AttackSpec]]:
     specs = expand_attacks(cfg, trace)
-    base = cfg.seed if seed is None else seed
-    attacked = inject_suite(trace, specs, seed=stage_seed(base, "inject"))
+    attacked = inject_suite(trace, specs, seed=stage_seed(cfg.seed, "inject"))
     return attacked, specs
 
 
@@ -121,16 +119,14 @@ def inject(cfg: ExperimentConfig, trace: Trace,
 # training
 
 
-def train_predictor(cfg: ExperimentConfig, trace: Trace,
-                    seed: int | None = None
+def train_predictor(cfg: ExperimentConfig, trace: Trace
                     ) -> tuple[pr.PredictorModel, ScalingParams, pr.TrainHistory]:
     """Scale the normal trace, split chronologically, fit the predictor."""
-    base = cfg.seed if seed is None else seed
     scaled, scaling = fit_and_scale(trace)
     train_part, val_part = split_train_val(scaled, cfg.train_ratio)
     model = pr.build_model(cfg.schema.signal_count, cfg.hyper,
-                           seed=stage_seed(base, "model-init"))
-    trained, history = pr.train(model, train_part, val_part, cfg.hyper)
+                           seed=stage_seed(cfg.seed, "model-init"))
+    trained, history = pr.train(model, train_part, val_part)
     return trained, scaling, history
 
 
@@ -388,16 +384,15 @@ def baseline_reports(cfg: ExperimentConfig, trace: Trace,
 # full experiment (used by the acceptance suite and demos)
 
 
-def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
+def run_experiment(cfg: ExperimentConfig,
                    variants: tuple[str, ...] = ("ST", "Diff", "Sum",
-                                                "Avg", "Max"),
-                   with_baselines: bool = False):
-    """Run the whole pipeline once; returns a dict with every artifact."""
-    base = cfg.seed if seed is None else seed
-    train_trace = gen_trace(cfg, "train", seed=base)
-    test_clean = gen_trace(cfg, "test", seed=base)
-    attacked, specs = inject(cfg, test_clean, seed=base)
-    model, scaling, history = train_predictor(cfg, train_trace, seed=base)
+                                                "Avg", "Max")):
+    """Run the whole pipeline once, seeded by cfg.seed; returns a dict
+    with every artifact. The baselines are `baseline_reports` on the
+    result's attacked trace and specs."""
+    train_trace = gen_trace(cfg, "train")
+    attacked, specs = inject(cfg, gen_trace(cfg, "test"))
+    model, scaling, history = train_predictor(cfg, train_trace)
     reports: dict[str, mx.AttackReport] = {}
     tables: dict[str, DetectionTable] = {}
     for variant in variants:
@@ -405,12 +400,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None,
         table = detect_with(model, scaling, d, variant, attacked)
         tables[variant] = table
         reports[variant] = evaluate(table, specs)
-    result = {
+    return {
         "train_trace": train_trace, "attacked": attacked, "specs": specs,
         "model": model, "scaling": scaling, "history": history,
         "tables": tables, "reports": reports,
     }
-    if with_baselines:
-        result["baseline_reports"] = baseline_reports(
-            cfg, attacked, specs, eval_from=cfg.hyper.subsequence_length)
-    return result

@@ -223,7 +223,7 @@ def _forward_batch(params: dict[str, np.ndarray], windows: np.ndarray,
     q = _affine(H2, params["attn.W"], params["attn.b"])
     scores = q @ H2.transpose(0, 2, 1)
     scores += _causal_mask(L)
-    alpha = softmax(scores, axis=-1)
+    alpha = softmax(scores)
     # filled and activated in place: at batch 1024 these stacks are
     # megabytes, and each extra temporary costs more than the arithmetic
     concat = np.empty((B, L, 2 * H))
@@ -359,27 +359,21 @@ def _epoch_loss(params: dict, X: np.ndarray, Y: np.ndarray,
     return total / Y.size
 
 
-def train(model: PredictorModel, train_trace: Trace, val_trace: Trace,
-          hyper: PredictorHyper | None = None
+def train(model: PredictorModel, train_trace: Trace, val_trace: Trace
           ) -> tuple[PredictorModel, TrainHistory]:
-    """Fit the predictor on scaled traces; returns a new model.
+    """Fit the predictor on scaled traces with the knobs of model.hyper;
+    returns a new model.
 
     Windows are consumed in sequential order (no shuffling; the temporal
     relationships are the signal being learned). Validation loss is
     measured after every epoch; training stops when it fails to improve
     for `patience` consecutive epochs or at max_epochs, and the weights
     of the best epoch are restored. The procedure draws no randomness
-    beyond the model's own initialization. A hyper whose embed_dim or
-    hidden_dim differs from the model's raises ValueError before any
-    training.
+    beyond the model's own initialization. A warm start with other
+    training knobs is `train(dataclasses.replace(model, hyper=...), ...)`,
+    whose construction checks the new hyper against the weights.
     """
-    hyper = hyper or model.hyper
-    if (hyper.embed_dim, hyper.hidden_dim) != (model.hyper.embed_dim,
-                                               model.hyper.hidden_dim):
-        raise ValueError(
-            f"hyper has embed_dim {hyper.embed_dim}, hidden_dim "
-            f"{hyper.hidden_dim}; the model was built with "
-            f"{model.hyper.embed_dim}, {model.hyper.hidden_dim}")
+    hyper = model.hyper
     L = hyper.subsequence_length
     X_tr, Y_tr = window_arrays(train_trace, L)
     X_va, Y_va = window_arrays(val_trace, L)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .traces import MessageSchema, Trace, json_value, read_text
+from .traces import MessageSchema, Trace, json_value, read_text, write_text
 
 SIGNAL_KINDS = ("sine", "ramp-reset", "random-walk", "step-hold")
 ATTACK_KINDS = ("Constant", "Continuous", "Replay", "Dropping", "DDoS")
@@ -369,7 +369,7 @@ def save_manifest(specs: list[AttackSpec], path: str | Path,
     }
     if extra:
         doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_manifest(path: str | Path) -> tuple[int, list[AttackSpec]]:

@@ -139,6 +139,17 @@ def from_json(cls, doc, where: str, complete: bool = False):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _signal_names(names: Sequence[str], count: int) -> tuple[str, ...]:
+    """The names of `count` signals as a tuple, sig_1..sig_count when none
+    are given; a wrong count or a repeated name raises ValueError."""
+    names = tuple(names) or tuple(f"sig_{i + 1}" for i in range(count))
+    if len(names) != count:
+        raise ValueError(f"expected {count} signal names, got {len(names)}")
+    if len(set(names)) != count:
+        raise ValueError("signal names must be distinct")
+    return names
+
+
 @dataclass(frozen=True)
 class MessageSchema:
     """Static description of one CAN message type."""
@@ -151,19 +162,10 @@ class MessageSchema:
     def __post_init__(self) -> None:
         if self.signal_count < 1:
             raise ValueError("signal_count must be >= 1")
-        if not self.nominal_period_ms > 0:
-            raise ValueError("nominal_period_ms must be positive")
-        if not self.signal_names:
-            names = tuple(f"sig_{i + 1}" for i in range(self.signal_count))
-            object.__setattr__(self, "signal_names", names)
-        else:
-            object.__setattr__(self, "signal_names", tuple(self.signal_names))
-        if len(self.signal_names) != self.signal_count:
-            raise ValueError(
-                f"expected {self.signal_count} signal names, got {len(self.signal_names)}"
-            )
-        if len(set(self.signal_names)) != self.signal_count:
-            raise ValueError("signal names must be distinct")
+        if not 0 < self.nominal_period_ms < math.inf:
+            raise ValueError("nominal_period_ms must be finite and positive")
+        object.__setattr__(self, "signal_names", _signal_names(
+            self.signal_names, self.signal_count))
 
     @property
     def nominal_period_s(self) -> float:
@@ -188,14 +190,8 @@ class ScalingParams:
             raise ValueError("mins and maxs must be 1-D arrays of equal length")
         if np.any(mins > maxs):
             raise ValueError("per-signal min must not exceed max")
-        if not self.signal_names:
-            names = tuple(f"sig_{i + 1}" for i in range(len(mins)))
-            object.__setattr__(self, "signal_names", names)
-        if len(self.signal_names) != len(mins):
-            raise ValueError(f"expected {len(mins)} signal names, "
-                             f"got {len(self.signal_names)}")
-        if len(set(self.signal_names)) != len(mins):
-            raise ValueError("signal names must be distinct")
+        object.__setattr__(self, "signal_names", _signal_names(
+            self.signal_names, len(mins)))
         bad = ~(np.isfinite(mins) & np.isfinite(maxs))
         if bad.any():
             names = ", ".join(n for n, b in zip(self.signal_names, bad) if b)
@@ -324,14 +320,19 @@ def write_trace(trace: Trace, path: str | Path, provenance: dict | None = None) 
     columns = [float_cells(trace.timestamps),
                [f"{trace.schema.message_id:#x}"] * n, [str(k)] * n,
                *map(float_cells, trace.signals.T), int_cells(trace.labels)]
-    Path(path).write_text(table_text(_header(k), columns, provenance))
+    write_text(path, table_text(_header(k), columns, provenance))
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write a text file as UTF-8, whatever the locale."""
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_text(path: str | Path) -> str:
-    """A text file's contents; bytes that are not UTF-8 raise ValueError
-    naming the file."""
+    """A text file's contents, decoded as UTF-8 whatever the locale; bytes
+    that are not UTF-8 raise ValueError naming the file."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                          f"{exc.start})") from None
@@ -532,7 +533,7 @@ def save_scaling(params: ScalingParams, path: str | Path) -> None:
     """Write the scaling sidecar: a 'signal_name,min,max' row per signal."""
     columns = [params.signal_names, float_cells(params.mins),
                float_cells(params.maxs)]
-    Path(path).write_text(table_text(None, columns))
+    write_text(path, table_text(None, columns))
 
 
 def _bounds(columns: list[list[str]]) -> tuple:

@@ -9,6 +9,7 @@ train real models and together take roughly ten minutes of CPU time.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,16 +85,18 @@ def ordering_runs():
     f1_cont = {name: [] for name in ("Diff", "SMA-BB", "EWMA-BB", "LOF")}
     auc_const = []
     for seed in _SEEDS:
-        train_trace = gen_trace(cfg, "train", seed=seed)
-        test_clean = gen_trace(cfg, "test", seed=seed)
-        model, scaling, _ = train_predictor(cfg, train_trace, seed=seed)
-        attacked, specs = inject(cfg, test_clean, seed=seed)
+        cfg, cfg_cont, cfg_const = (replace(c, seed=seed)
+                                    for c in (cfg, cfg_cont, cfg_const))
+        train_trace = gen_trace(cfg, "train")
+        test_clean = gen_trace(cfg, "test")
+        model, scaling, _ = train_predictor(cfg, train_trace)
+        attacked, specs = inject(cfg, test_clean)
         for variant in _VARIANTS:
             d = fit_detector(model, scaling, train_trace, variant,
                              cfg.detector)
             table = detect_with(model, scaling, d, variant, attacked)
             f1[variant].append(evaluate(table, specs).overall.f1)
-        att_c, specs_c = inject(cfg_cont, test_clean, seed=seed)
+        att_c, specs_c = inject(cfg_cont, test_clean)
         d = fit_detector(model, scaling, train_trace, "Diff",
                          cfg_cont.detector)
         rep = evaluate(detect_with(model, scaling, d, "Diff", att_c),
@@ -102,7 +105,7 @@ def ordering_runs():
         for name, brep in baseline_reports(cfg_cont, att_c, specs_c,
                                            eval_from=8).items():
             f1_cont[name].append(brep.overall.f1)
-        att_k, specs_k = inject(cfg_const, test_clean, seed=seed)
+        att_k, specs_k = inject(cfg_const, test_clean)
         d = fit_detector(model, scaling, train_trace, "Diff",
                          cfg_const.detector)
         rep_k = evaluate(detect_with(model, scaling, d, "Diff", att_k),
@@ -216,9 +219,9 @@ def test_c04_predictor_learning():
                                hidden_dim=32, batch_size=128,
                                learning_rate=lr, max_epochs=n_epochs,
                                patience=n_epochs - 1, loss_mode="all")
-        if model is None:
-            model = build_model(k=3, hyper=hyper, seed=101)
-        model, hist = train(model, tr, va, hyper=hyper)
+        model = (build_model(k=3, hyper=hyper, seed=101) if model is None
+                 else replace(model, hyper=hyper))
+        model, hist = train(model, tr, va)
         best = min(best, min(hist.val_loss))
     dt = time.monotonic() - t0
     ok = best < 0.25 * floor and dt < 900.0
@@ -309,11 +312,11 @@ def test_c10_determinism_and_round_trips(tmp_path):
                       "learning_rate": 1e-3, "max_epochs": 3, "patience": 2},
     }
     cfg = load_config_dict(doc)
-    trace = gen_trace(cfg, "train", seed=7)
+    trace = gen_trace(cfg, "train")
     meta = {"provenance": {"config_hash": "deadbeefdeadbeef", "seed": 7}}
     paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
     for p in paths:
-        model, _, _ = train_predictor(cfg, trace, seed=7)
+        model, _, _ = train_predictor(cfg, trace)
         save_model(model, p, extra_meta=meta)
     identical = paths[0].read_bytes() == paths[1].read_bytes()
 

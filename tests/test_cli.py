@@ -1,5 +1,6 @@
 """Command-line pipeline: every subcommand end to end, plus exit codes."""
 
+import dataclasses
 import json
 import shutil
 import tempfile
@@ -12,14 +13,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hs
 
-from canids import model_io, traces
+from canids import __version__, model_io, traces
 from canids.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from canids.config import load_config
 from canids.detector import load_detector
-from canids.pipeline import parse_detection_csv
+from canids.pipeline import gen_trace, parse_detection_csv
 from canids.predictor import load_model_file
 from canids.tracegen import load_manifest
-from canids.traces import load_scaling, load_trace
+from canids.traces import load_scaling, load_trace, write_trace
 
 from mutations import OTHER_JSON, json_paths, replaced
 
@@ -254,6 +255,14 @@ class TestPipelineArtifacts:
                    "--role", "train", "--seed", "8"])
         assert rc == EXIT_OK
         assert out2.read_bytes() != ws["train"].read_bytes()
+        # the flag is the config with another seed, the one way the
+        # library takes a seed other than the config file's
+        cfg = dataclasses.replace(load_config(ws["cfg"]), seed=8)
+        lib = tmp_path / "lib.csv"
+        write_trace(gen_trace(cfg, "train"), lib, provenance={
+            "tool": f"canids {__version__}", "config_hash": cfg.config_hash,
+            "seed": 8, "role": "train"})
+        assert out2.read_bytes() == lib.read_bytes()
 
 
 class TestExitCodes:

@@ -217,11 +217,10 @@ class TestLoadDict:
 
 
 class TestLoadFile:
-    def test_happy_path_records_hash_and_path(self, tmp_path):
+    def test_happy_path_records_hash(self, tmp_path):
         p = tmp_path / "exp.json"
         p.write_text(json.dumps(_full_doc()))
         cfg = load_config(p)
-        assert cfg.source_path == str(p)
         assert len(cfg.config_hash) == 16
         # the hash is over the bytes, so reformatting changes it
         p2 = tmp_path / "exp2.json"

@@ -218,7 +218,7 @@ class TestSoftmax:
     def test_sums_to_one(self):
         rng = np.random.default_rng(4)
         v = rng.normal(size=(5, 7)) * 10
-        out = softmax(v, axis=-1)
+        out = softmax(v)
         assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_empty_rejected(self):
@@ -228,7 +228,7 @@ class TestSoftmax:
     def test_minus_inf_entries_get_weight_exactly_zero(self):
         v = np.array([[0.3, -np.inf, 1.1, -np.inf],
                       [2.0, 0.5, -np.inf, -np.inf]])
-        out = softmax(v, axis=-1)
+        out = softmax(v)
         assert (out[np.isneginf(v)] == 0.0).all()
         assert np.allclose(out[0, [0, 2]], softmax(v[0, [0, 2]]),
                            rtol=0, atol=1e-15)
@@ -238,12 +238,12 @@ class TestSoftmax:
     def test_nan_or_plus_inf_raises(self, bad):
         v = np.array([[0.0, 1.0, -np.inf], [0.5, bad, 0.0]])
         with pytest.raises(FloatingPointError):
-            softmax(v, axis=-1)
+            softmax(v)
 
     def test_row_without_a_finite_entry_raises(self):
         v = np.array([[0.0, -np.inf], [-np.inf, -np.inf]])
         with pytest.raises(FloatingPointError, match="no finite entry"):
-            softmax(v, axis=-1)
+            softmax(v)
 
 
 class TestMseLoss:

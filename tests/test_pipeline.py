@@ -96,8 +96,8 @@ class TestGenTrace:
         assert np.array_equal(a.timestamps, b.timestamps)
 
     def test_explicit_seed_overrides_config(self):
-        a = gen_trace(CFG, "test", seed=1)
-        b = gen_trace(CFG, "test", seed=2)
+        a = gen_trace(dataclasses.replace(CFG, seed=1), "test")
+        b = gen_trace(dataclasses.replace(CFG, seed=2), "test")
         assert not np.array_equal(a.signals, b.signals)
 
     def test_bad_role(self):
@@ -295,8 +295,10 @@ class TestDeviationsAndDetectors:
                       "step_std": 0.05},
                      {"kind": "ramp-reset", "lo": 0.0, "hi": 5.0,
                       "period_s": 0.645, "noise_std": 0.01}],
+            generation={"train_duration_s": records * 0.015,
+                        "test_duration_s": 15.0},
             detector={"nu": 0.01, "max_train_points": cap})
-        trace = gen_trace(cfg, "train", duration=records * 0.015)
+        trace = gen_trace(cfg, "train")
         _, scaling = fit_and_scale(trace)
         model = build_model(3, hyper, seed=11)
         for variant in ("Diff", "Max"):
@@ -357,7 +359,9 @@ class TestDetect:
     def test_short_trace_rejected(self, trained):
         trace, model, scaling = trained
         st = fit_detector(model, scaling, trace, "ST", CFG.detector)
-        short = gen_trace(CFG, "test", duration=0.1)  # 6 records < L+1
+        short = gen_trace(_toy_cfg(generation={"train_duration_s": 20.0,
+                                               "test_duration_s": 0.1}),
+                          "test")  # 6 records < L+1
         with pytest.raises(ValueError, match="too short"):
             detect_with(model, scaling, st, "ST", short)
 
@@ -512,14 +516,14 @@ class TestBaselineReports:
 
 class TestRunExperiment:
     def test_full_run_artifacts(self):
-        result = run_experiment(CFG, variants=("ST", "Diff"),
-                                with_baselines=True)
-        assert set(result) >= {"train_trace", "attacked", "specs", "model",
-                               "scaling", "history", "tables", "reports",
-                               "baseline_reports"}
+        result = run_experiment(CFG, variants=("ST", "Diff"))
+        assert set(result) == {"train_trace", "attacked", "specs", "model",
+                               "scaling", "history", "tables", "reports"}
         assert set(result["tables"]) == {"ST", "Diff"}
         assert set(result["reports"]) == {"ST", "Diff"}
-        assert set(result["baseline_reports"]) == {"SMA-BB", "EWMA-BB", "LOF"}
+        baselines = baseline_reports(CFG, result["attacked"], result["specs"],
+                                     eval_from=CFG.hyper.subsequence_length)
+        assert set(baselines) == {"SMA-BB", "EWMA-BB", "LOF"}
         for table in result["tables"].values():
             assert len(table) == len(result["attacked"])
         for rep in result["reports"].values():

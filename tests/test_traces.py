@@ -1,6 +1,10 @@
 """Trace model, CSV round-trips, scaling, splits, windows."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -56,6 +60,29 @@ class TestSchema:
 
     def test_period_conversion(self):
         assert SCHEMA.nominal_period_s == pytest.approx(0.015)
+
+    @pytest.mark.parametrize("period", [np.nan, np.inf, 0.0, -15.0])
+    def test_period_must_be_finite_and_positive(self, period):
+        # an infinite period would otherwise pass here and be refused
+        # only later, by the rate gate
+        with pytest.raises(ValueError, match="nominal_period_ms must be "
+                                             "finite and positive"):
+            MessageSchema(message_id=1, signal_count=1,
+                          nominal_period_ms=period)
+
+    @pytest.mark.parametrize("names", [(), ("a", "b"), ["a", "b"], ("a",),
+                                       ("a", "a")])
+    def test_scaling_names_follow_the_schema_rule(self, names):
+        def outcome(build):
+            try:
+                return build().signal_names
+            except ValueError as exc:
+                return str(exc)
+
+        schema = outcome(lambda: MessageSchema(1, 2, 10.0, names))
+        scaling = outcome(lambda: ScalingParams(np.zeros(2), np.ones(2),
+                                                names))
+        assert schema == scaling
 
 
 class TestFromJson:
@@ -310,6 +337,45 @@ class TestScaling:
         with pytest.raises(ValueError, match="expected 2 signal names"):
             ScalingParams(signal_names=("a",), mins=(0.0, 1.0),
                           maxs=(1.0, 2.0))
+
+
+def _run_in_ascii_locale(code: str, *args) -> subprocess.CompletedProcess:
+    """Run a Python snippet with an ASCII locale codec: LC_ALL=C and the
+    UTF-8 mode off (`-X utf8=0`), which Python would otherwise switch on
+    for C."""
+    env = {**os.environ, "LC_ALL": "C",
+           "PYTHONPATH": str(Path(traces.__file__).parents[1])}
+    # the snippet first requires that the locale's codec is not UTF-8
+    code = ("import locale\n"
+            "assert locale.getpreferredencoding(False).lower() in "
+            "('ansi_x3.4-1968', 'ascii', 'us-ascii')\n" + code)
+    return subprocess.run([sys.executable, "-X", "utf8=0", "-c", code,
+                           *map(str, args)], env=env, capture_output=True)
+
+
+class TestUtf8WhateverTheLocale:
+    def test_sidecar_with_a_non_ascii_name_is_written_as_utf8(self,
+                                                               tmp_path):
+        p = tmp_path / "s.csv"
+        done = _run_in_ascii_locale(
+            "import sys\n"
+            "import numpy as np\n"
+            "from canids.traces import ScalingParams, save_scaling\n"
+            "save_scaling(ScalingParams(np.zeros(1), np.ones(1),\n"
+            "                           ('vitesse_\\u00e9',)), sys.argv[1])\n",
+            p)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        assert p.read_bytes() == "vitesse_\u00e9,0.0,1.0\n".encode("utf-8")
+
+    def test_utf8_sidecar_is_read(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes("# note: caf\u00e9\nspeed,0.0,1.0\n".encode("utf-8"))
+        done = _run_in_ascii_locale(
+            "import sys\n"
+            "from canids.traces import load_scaling\n"
+            "assert load_scaling(sys.argv[1]).signal_names == ('speed',)\n",
+            p)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
 
 
 class TestTableCodec:
