@@ -1,7 +1,8 @@
 """Command-line front end: gen, inject, train, fit-detector, detect,
 eval, simulate.
 
-Each command validates its inputs before writing anything. Exit codes:
+Each command validates its inputs before writing anything, and `train`
+and `inject`, which write two files, leave both or neither. Exit codes:
 0 success, 1 validation failure (bad config, bad flags, missing or
 malformed input files), 2 runtime failure (training divergence, a
 non-finite value met in scoring, I/O errors mid-write).
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +28,8 @@ from . import metrics as mx
 from . import pipeline as pl
 from . import predictor as pr
 from .config import ConfigError, DetectorConfig, ExperimentConfig, load_config
-from .controller import OnlineConfig, dispositions_csv, run_online
+from .controller import (DEFAULT_TOLERANCE, OnlineConfig, dispositions_csv,
+                         run_online)
 from .tracegen import load_manifest, save_manifest
 from .traces import (
     MessageSchema,
@@ -94,6 +97,22 @@ def _load_model(path) -> tuple[pr.PredictorModel, MessageSchema,
     return model, schema, scaling, prov
 
 
+def _write_all(*outputs: tuple[str, Callable[[str], None]]) -> None:
+    """Call write(path) for each (path, write) in turn. When one fails,
+    remove the files written before it, and its own file unless that
+    existed before, so a command leaves all of its outputs or none."""
+    done: list[str] = []
+    for path, write in outputs:
+        existed = Path(path).exists()
+        try:
+            write(path)
+        except BaseException:
+            for made in done if existed else [*done, path]:
+                Path(made).unlink(missing_ok=True)
+            raise
+        done.append(path)
+
+
 # --------------------------------------------------------------------------
 # commands
 
@@ -113,9 +132,12 @@ def cmd_inject(args) -> int:
     attacked, specs = pl.inject(cfg, trace)
     manifest = args.manifest or str(Path(args.out).with_suffix("")) \
         + ".manifest.json"
-    write_trace(attacked, args.out, provenance=_provenance(cfg))
-    save_manifest(specs, manifest, cfg.schema.message_id,
-                  extra={"config_hash": cfg.config_hash, "seed": cfg.seed})
+    _write_all(
+        (args.out, lambda path: write_trace(attacked, path,
+                                            provenance=_provenance(cfg))),
+        (manifest, lambda path: save_manifest(
+            specs, path, cfg.schema.message_id,
+            extra={"config_hash": cfg.config_hash, "seed": cfg.seed})))
     n_attacked = int(attacked.labels.sum())
     print(f"wrote {len(attacked)} records ({n_attacked} labeled attack) "
           f"to {args.out}")
@@ -138,9 +160,11 @@ def cmd_train(args) -> int:
             "stop_reason": history.stop_reason,
         },
     }
-    pr.save_model(model, args.model_out, extra_meta=extra)
     scaling_out = args.scaling_out or str(Path(args.model_out)) + ".scaling.csv"
-    save_scaling(scaling, scaling_out)
+    _write_all(
+        (args.model_out,
+         lambda path: pr.save_model(model, path, extra_meta=extra)),
+        (scaling_out, lambda path: save_scaling(scaling, path)))
     print(f"trained {len(history.val_loss)} epochs "
           f"(best epoch {history.best_epoch}, "
           f"val MSE {history.val_loss[history.best_epoch]:.6g}, "
@@ -318,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--model", required=True)
     d.add_argument("--detector", required=True)
     d.add_argument("--out", required=True)
-    d.add_argument("--tolerance", type=float, default=0.2,
+    d.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                    help="rate-check tolerance fraction")
     d.set_defaults(func=cmd_detect)
 
@@ -339,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--detector", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--tolerance", type=float, default=0.2)
+    s.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     s.add_argument("--substitution", choices=("prediction", "freeze"),
                    default="prediction")
     s.set_defaults(func=cmd_simulate)

@@ -58,6 +58,10 @@ from .traces import ScalingParams, float_cells, table_text
 DISPOSITIONS = ("Delivered", "DroppedAnomalous", "DroppedRateViolation")
 
 
+# the rate gate's default tolerance: a gap within 20% of the period is on time
+DEFAULT_TOLERANCE = 0.2
+
+
 def _check_tolerance(tolerance_fraction: float) -> None:
     """The rate gate's tolerance rule. Outside (0, 1) the gate means nothing:
     from 1 up no gap is too fast, at 0 and below every gap off the exact
@@ -87,7 +91,7 @@ class RateCheckerState:
     """
 
     expected_period_ms: float
-    tolerance_fraction: float = 0.2
+    tolerance_fraction: float = DEFAULT_TOLERANCE
     last_timestamp: float | None = None
 
     def __post_init__(self) -> None:
@@ -122,7 +126,7 @@ def rate_check(state: RateCheckerState, timestamp: float) -> str:
 
 
 def rate_flags(timestamps: np.ndarray, expected_period_ms: float,
-               tolerance_fraction: float = 0.2
+               tolerance_fraction: float = DEFAULT_TOLERANCE
                ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized offline rate check over a whole trace.
 
@@ -184,9 +188,6 @@ class HistoryBuffer:
         self._end += 1
         self._len = min(self._len + 1, self.capacity)
 
-    def __len__(self) -> int:
-        return self._len
-
     @property
     def full(self) -> bool:
         return self._len == self.capacity
@@ -217,7 +218,7 @@ class FrameDisposition:
 
 @dataclass(frozen=True)
 class OnlineConfig:
-    tolerance_fraction: float = 0.2
+    tolerance_fraction: float = DEFAULT_TOLERANCE
     substitution: str = "prediction"  # or "freeze": repeat last normal value
 
     def __post_init__(self) -> None:

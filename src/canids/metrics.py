@@ -38,10 +38,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(self.tp + other.tp, self.tn + other.tn,
-                               self.fp + other.fp, self.fn + other.fn)
-
 
 def confusion(labels, predictions) -> ConfusionCounts:
     labels = np.asarray(labels, dtype=np.int64)

@@ -8,7 +8,10 @@ the optimizer and the test suite's gradient checker can treat them
 uniformly.
 
 An LSTM layer runs over a whole batch of sequences (B, L, d) in one call,
-step by step inside; the B rows are independent passes.
+step by step inside; the B rows are independent passes. Its weights are
+W_x (4H, D), W_h (4H, H) and b (4H,), gate rows stacked [input; forget;
+candidate; output]; `predictor.build_model` initializes them, as every
+other block, from the predictor's one table of shapes.
 
 Finiteness and shapes are checked at the boundaries, not per step: the
 predictor checks every weight block's shape and rejects non-finite weights
@@ -29,17 +32,6 @@ import numpy as np
 def _check_finite(name: str, a: np.ndarray) -> None:
     if not np.isfinite(a).all():
         raise FloatingPointError(f"non-finite values in {name}")
-
-
-# --------------------------------------------------------------------------
-# initialization policy
-
-def init_linear(rng: np.random.Generator, d_out: int, d_in: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Weights uniform in +-1/sqrt(fan_in), bias zero."""
-    bound = 1.0 / np.sqrt(d_in)
-    W = rng.uniform(-bound, bound, size=(d_out, d_in))
-    return W, np.zeros(d_out)
 
 
 # --------------------------------------------------------------------------
@@ -71,18 +63,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     e += 1.0
     num /= e
     return num
-
-
-def init_lstm_cell(rng: np.random.Generator, hidden_dim: int, input_dim: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One LSTM layer's (W_x (4H, D), W_h (4H, H), b (4H,)), gate rows
-    stacked [input; forget; candidate; output]. Uniform +-1/sqrt(fan_in)
-    weights; forget-gate bias +1, others 0."""
-    W_x, _ = init_linear(rng, 4 * hidden_dim, input_dim)
-    W_h, _ = init_linear(rng, 4 * hidden_dim, hidden_dim)
-    b = np.zeros(4 * hidden_dim)
-    b[hidden_dim: 2 * hidden_dim] = 1.0
-    return W_x, W_h, b
 
 
 def lstm_layer_forward(W_x: np.ndarray, W_h: np.ndarray, b: np.ndarray,
@@ -226,22 +206,21 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 @dataclass
 class AdamState:
     """Bias-corrected ADAM at learning rate lr, with the fixed decay rates
-    and guard above; moment slots created lazily per parameter name."""
+    and guard above. lr is its only argument: a state starts at step 0,
+    and `adam_step` creates a parameter's moments on its first update."""
 
     lr: float = 1e-4
-    step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    m: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    v: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         if self.lr <= 0:
             raise ValueError("ADAM lr must be positive")
-        if self.step_count < 0:
-            raise ValueError("step_count must be >= 0")
 
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+              grads: dict[str, np.ndarray]) -> None:
     """One update over every entry of `grads`; params are updated in place."""
     state.step_count += 1
     t = state.step_count
@@ -260,4 +239,3 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         v *= _BETA2
         v += (1.0 - _BETA2) * (g * g)
         p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
-    return params

@@ -19,7 +19,7 @@ from . import detector as det
 from . import metrics as mx
 from . import predictor as pr
 from .config import DetectorConfig, ExperimentConfig
-from .controller import rate_flags
+from .controller import DEFAULT_TOLERANCE, rate_flags
 from .tracegen import AttackSpec, generate_normal, inject_suite
 from .traces import (
     ScalingParams,
@@ -225,7 +225,7 @@ class DetectionTable:
 
 def detect_with(model: pr.PredictorModel, scaling: ScalingParams,
                 detector: det.OcsvmModel | det.StaticThreshold, variant: str,
-                trace: Trace, tolerance_fraction: float = 0.2
+                trace: Trace, tolerance_fraction: float = DEFAULT_TOLERANCE
                 ) -> DetectionTable:
     """Offline detection pass over a logged trace.
 
@@ -385,8 +385,7 @@ def baseline_reports(cfg: ExperimentConfig, trace: Trace,
 
 
 def run_experiment(cfg: ExperimentConfig,
-                   variants: tuple[str, ...] = ("ST", "Diff", "Sum",
-                                                "Avg", "Max")):
+                   variants: tuple[str, ...] = det.VARIANTS):
     """Run the whole pipeline once, seeded by cfg.seed; returns a dict
     with every artifact. The baselines are `baseline_reports` on the
     result's attacked trace and specs."""

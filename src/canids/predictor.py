@@ -19,6 +19,10 @@ decoder, so the stages can run one after the other. A final linear layer
 emits the predicted next signal vector at every step; training compares
 only the last step against the window's target row.
 
+`param_shapes` is the one architecture table: models are checked and
+initialized from it. `predict_last_batch` is the one forward-only path,
+for validation, detection, detector fitting and the gateway alike.
+
 Everything is trained with hand-derived backpropagation through time; the
 finite-difference gradient checks in the test suite are the authority on
 its correctness.
@@ -36,8 +40,6 @@ from .nn import (
     AdamState,
     _check_finite,
     adam_step,
-    init_linear,
-    init_lstm_cell,
     lstm_layer_backward,
     lstm_layer_forward,
     mse_loss,
@@ -116,7 +118,6 @@ class PredictorModel:
     k: int
     hyper: PredictorHyper
     params: dict[str, np.ndarray]
-    version: str = MODEL_VERSION
 
     def __post_init__(self) -> None:
         expected = param_shapes(self.k, self.hyper.embed_dim,
@@ -138,23 +139,24 @@ class PredictorModel:
 def build_model(k: int, hyper: PredictorHyper | None = None,
                 seed: int = 0) -> PredictorModel:
     """Seeded construction; identical (k, hyper, seed) gives bit-identical
-    weights. Initialization order is fixed."""
+    weights. Each block of `param_shapes`, in its order: a matrix uniform
+    in +-1/sqrt(shape[1]), a bias zero except an LSTM layer's forget block
+    (gate rows [input; forget; candidate; output]), which is 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
     hyper = hyper or PredictorHyper()
-    e, h = hyper.embed_dim, hyper.hidden_dim
+    shapes = param_shapes(k, hyper.embed_dim, hyper.hidden_dim)
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    params["embed.W"], params["embed.b"] = init_linear(rng, e, k)
-    for name, d_in in (("enc1", e), ("enc2", h)):
-        params[f"{name}.W_x"], params[f"{name}.W_h"], params[f"{name}.b"] = (
-            init_lstm_cell(rng, h, d_in))
-    params["attn.W"], params["attn.b"] = init_linear(rng, h, h)
-    params["combine.W"], params["combine.b"] = init_linear(rng, h, 2 * h)
-    for name in ("dec1", "dec2"):
-        params[f"{name}.W_x"], params[f"{name}.W_h"], params[f"{name}.b"] = (
-            init_lstm_cell(rng, h, h))
-    params["out.W"], params["out.b"] = init_linear(rng, k, h)
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[1])
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            params[name] = np.zeros(shape)
+            if f"{name.split('.')[0]}.W_h" in shapes:  # an LSTM layer
+                h = shape[0] // 4
+                params[name][h: 2 * h] = 1.0
     return PredictorModel(k=k, hyper=hyper, params=params)
 
 
@@ -347,37 +349,30 @@ class TrainHistory:
             raise ValueError("best_epoch must hold the minimum val loss")
 
 
-def _epoch_loss(params: dict, X: np.ndarray, Y: np.ndarray,
-                batch_size: int) -> float:
-    """Mean squared last-step error over a whole window set."""
-    total = 0.0
-    for lo in range(0, len(X), batch_size):
-        preds, _ = _forward_batch(params, X[lo: lo + batch_size],
-                                  want_cache=False)
-        d = preds[:, -1] - Y[lo: lo + batch_size]
-        total += float(np.sum(d * d))
-    return total / Y.size
-
-
 def train(model: PredictorModel, train_trace: Trace, val_trace: Trace
           ) -> tuple[PredictorModel, TrainHistory]:
     """Fit the predictor on scaled traces with the knobs of model.hyper;
     returns a new model.
 
     Windows are consumed in sequential order (no shuffling; the temporal
-    relationships are the signal being learned). Validation loss is
-    measured after every epoch; training stops when it fails to improve
-    for `patience` consecutive epochs or at max_epochs, and the weights
-    of the best epoch are restored. The procedure draws no randomness
-    beyond the model's own initialization. A warm start with other
-    training knobs is `train(dataclasses.replace(model, hyper=...), ...)`,
-    whose construction checks the new hyper against the weights.
+    relationships are the signal being learned). Validation loss, from
+    `predict_last_batch` one `batch_size` slice at a time, is measured
+    after every epoch; training stops when it fails to improve for
+    `patience` consecutive epochs or at max_epochs, and the weights of the
+    best epoch are restored. A non-finite loss raises
+    TrainingDiverged(epoch, batch), batch -1 for validation; a non-finite
+    validation prediction raises FloatingPointError. The procedure draws
+    no randomness beyond the model's own initialization. A warm start with
+    other training knobs is `train(dataclasses.replace(model, hyper=...),
+    ...)`, whose construction checks the new hyper against the weights.
     """
     hyper = model.hyper
     L = hyper.subsequence_length
     X_tr, Y_tr = window_arrays(train_trace, L)
     X_va, Y_va = window_arrays(val_trace, L)
     params = {name: p.copy() for name, p in model.params.items()}
+    # adam_step updates params in place, so `current` validates them as is
+    current = PredictorModel(k=model.k, hyper=hyper, params=params)
     opt = AdamState(lr=hyper.learning_rate)
     best_val = np.inf
     best_epoch = -1
@@ -397,7 +392,12 @@ def train(model: PredictorModel, train_trace: Trace, val_trace: Trace
             se_sum += loss * yb.size
             adam_step(opt, params, grads)
         train_hist.append(se_sum / Y_tr.size)
-        val = _epoch_loss(params, X_va, Y_va, hyper.batch_size)
+        val_se = 0.0
+        for lo in range(0, len(X_va), hyper.batch_size):
+            d = (predict_last_batch(current, X_va[lo: lo + hyper.batch_size])
+                 - Y_va[lo: lo + hyper.batch_size])
+            val_se += float(np.sum(d * d))
+        val = val_se / Y_va.size
         if not np.isfinite(val):
             raise TrainingDiverged(epoch, -1)
         val_hist.append(val)
@@ -427,7 +427,7 @@ def save_model(model: PredictorModel, path,
     """Write the model file; extra_meta keys (schema, scaling, provenance)
     ride along in the header and are returned by load_model_file."""
     meta = {
-        "version": model.version,
+        "version": MODEL_VERSION,
         "k": model.k,
         "hyper": asdict(model.hyper),
         "parameter_count": model.parameter_count(),

@@ -14,6 +14,7 @@ parameters for evaluation-time attribution.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -268,7 +269,7 @@ def inject_attack(trace: Trace, spec: AttackSpec, seed: int = 0) -> Trace:
         sig = np.array(trace.signals)
         sig[idx, spec.target_signal] = spec.value
         labels = _labels_from_diff(trace.labels, trace.signals, sig)
-        return trace.replace_data(signals=sig, labels=labels)
+        return dataclasses.replace(trace, signals=sig, labels=labels)
 
     if spec.kind == "Continuous":
         if len(idx) == 0:
@@ -286,7 +287,7 @@ def inject_attack(trace: Trace, spec: AttackSpec, seed: int = 0) -> Trace:
         ramp = np.minimum(ramp, v) if delta >= 0 else np.maximum(ramp, v)
         sig[idx, spec.target_signal] = ramp
         labels = _labels_from_diff(trace.labels, trace.signals, sig)
-        return trace.replace_data(signals=sig, labels=labels)
+        return dataclasses.replace(trace, signals=sig, labels=labels)
 
     if spec.kind == "Replay":
         src_idx = np.flatnonzero(
@@ -298,13 +299,13 @@ def inject_attack(trace: Trace, spec: AttackSpec, seed: int = 0) -> Trace:
         sig = np.array(trace.signals)
         sig[idx] = trace.signals[src_idx[: len(idx)]]
         labels = _labels_from_diff(trace.labels, trace.signals, sig)
-        return trace.replace_data(signals=sig, labels=labels)
+        return dataclasses.replace(trace, signals=sig, labels=labels)
 
     if spec.kind == "Dropping":
         keep = ~mask
-        return trace.replace_data(timestamps=ts[keep],
-                                  signals=trace.signals[keep],
-                                  labels=trace.labels[keep])
+        return dataclasses.replace(trace, timestamps=ts[keep],
+                                   signals=trace.signals[keep],
+                                   labels=trace.labels[keep])
 
     # DDoS: flood slots every period/multiplier, anchored on the first
     # legitimate record in the interval; slots colliding with an existing
@@ -340,8 +341,8 @@ def inject_attack(trace: Trace, spec: AttackSpec, seed: int = 0) -> Trace:
     merged_sig = np.insert(np.array(trace.signals), order, flood_sig, axis=0)
     merged_lab = np.insert(np.array(trace.labels), order,
                            np.ones(len(flood_ts), dtype=np.int64))
-    return trace.replace_data(timestamps=merged_ts, signals=merged_sig,
-                              labels=merged_lab)
+    return dataclasses.replace(trace, timestamps=merged_ts,
+                               signals=merged_sig, labels=merged_lab)
 
 
 def inject_suite(trace: Trace, specs: list[AttackSpec], seed: int = 0) -> Trace:

@@ -258,19 +258,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def replace_data(
-        self,
-        timestamps: np.ndarray | None = None,
-        signals: np.ndarray | None = None,
-        labels: np.ndarray | None = None,
-    ) -> "Trace":
-        return Trace(
-            schema=self.schema,
-            timestamps=self.timestamps if timestamps is None else timestamps,
-            signals=self.signals if signals is None else signals,
-            labels=self.labels if labels is None else labels,
-        )
-
 
 # --------------------------------------------------------------------------
 # file io: every CSV table the tools write and read goes through
@@ -590,7 +577,7 @@ def apply_scaling(trace: Trace, params: ScalingParams) -> Trace:
             f"scaling params carry {params.signal_count} signals, "
             f"trace has {trace.schema.signal_count}"
         )
-    return trace.replace_data(signals=params.apply(trace.signals))
+    return dataclasses.replace(trace, signals=params.apply(trace.signals))
 
 
 def split_train_val(trace: Trace, ratio: float) -> tuple[Trace, Trace]:
@@ -607,16 +594,12 @@ def split_train_val(trace: Trace, ratio: float) -> tuple[Trace, Trace]:
     cut = math.floor(ratio * n)
     if cut == 0 or cut == n:
         raise ValueError(f"split with ratio {ratio} leaves an empty side")
-    head = trace.replace_data(
-        timestamps=trace.timestamps[:cut],
-        signals=trace.signals[:cut],
-        labels=trace.labels[:cut],
-    )
-    tail = trace.replace_data(
-        timestamps=trace.timestamps[cut:],
-        signals=trace.signals[cut:],
-        labels=trace.labels[cut:],
-    )
+    head = dataclasses.replace(trace, timestamps=trace.timestamps[:cut],
+                               signals=trace.signals[:cut],
+                               labels=trace.labels[:cut])
+    tail = dataclasses.replace(trace, timestamps=trace.timestamps[cut:],
+                               signals=trace.signals[cut:],
+                               labels=trace.labels[cut:])
     return head, tail
 
 

@@ -526,6 +526,44 @@ class TestExitCodes:
                    "--out", str(tmp_path)])
         assert rc == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("missing", [0, 1])
+    def test_train_writes_both_outputs_or_neither(self, ws, tmp_path,
+                                                  missing):
+        # one of the model and its scaling sidecar goes into a directory
+        # that does not exist
+        outs = [tmp_path / "m.bin", tmp_path / "s.csv"]
+        outs[missing] = tmp_path / "nodir" / outs[missing].name
+        rc = main(["train", "--trace", str(ws["train"]),
+                   "--config", str(ws["cfg"]), "--model-out", str(outs[0]),
+                   "--scaling-out", str(outs[1])])
+        assert rc == EXIT_VALIDATION
+        assert not any(p.exists() for p in outs)
+
+    @pytest.mark.parametrize("missing", [0, 1])
+    def test_inject_writes_both_outputs_or_neither(self, ws, tmp_path,
+                                                   missing):
+        outs = [tmp_path / "a.csv", tmp_path / "m.json"]
+        outs[missing] = tmp_path / "nodir" / outs[missing].name
+        rc = main(["inject", "--trace", str(ws["test"]),
+                   "--config", str(ws["cfg"]), "--out", str(outs[0]),
+                   "--manifest", str(outs[1])])
+        assert rc == EXIT_VALIDATION
+        assert not any(p.exists() for p in outs)
+
+    def test_training_divergence_is_runtime(self, ws, tmp_path, capsys):
+        doc = _config_doc()
+        doc["predictor"]["learning_rate"] = 1e300
+        cfg = tmp_path / "huge_lr.json"
+        cfg.write_text(json.dumps(doc))
+        model = tmp_path / "m.bin"
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--trace", str(ws["train"]),
+                       "--config", str(cfg), "--model-out", str(model)])
+        assert rc == EXIT_RUNTIME
+        assert "training diverged" in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("section, key, value, command", [
         ("predictor", "embed_dim", 4.5, "train"),
         ("predictor", "max_epochs", 2.5, "train"),

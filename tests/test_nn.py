@@ -12,7 +12,6 @@ from canids.nn import (
     AdamState,
     _sigmoid,
     adam_step,
-    init_lstm_cell,
     lstm_layer_backward,
     lstm_layer_forward,
     mse_loss,
@@ -26,6 +25,16 @@ from oracles import (
     masked_sigmoid,
     relative_error,
 )
+
+
+def _lstm_weights(rng, H, D):
+    """One LSTM layer's (W_x, W_h, b), drawn as `predictor.build_model`
+    draws an encoder or decoder layer."""
+    W_x = rng.uniform(-1 / np.sqrt(D), 1 / np.sqrt(D), size=(4 * H, D))
+    W_h = rng.uniform(-1 / np.sqrt(H), 1 / np.sqrt(H), size=(4 * H, H))
+    b = np.zeros(4 * H)
+    b[H: 2 * H] = 1.0
+    return W_x, W_h, b
 
 
 class TestLstmCell:
@@ -51,17 +60,10 @@ class TestLstmCell:
         assert abs(Hs[0, 1, 0] - np.tanh(0.5)) < 1e-4
         assert abs(Hs[0, 1, 0] - 0.4621) < 1e-3
 
-    def test_forget_bias_initialized_to_one(self):
-        rng = np.random.default_rng(0)
-        _, _, b = init_lstm_cell(rng, hidden_dim=4, input_dim=3)
-        assert np.array_equal(b[4:8], np.ones(4))
-        assert np.array_equal(b[:4], np.zeros(4))
-        assert np.array_equal(b[8:], np.zeros(8))
-
     def test_rollout_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         H, D, T = 3, 2, 3
-        W_x, W_h, b = init_lstm_cell(rng, H, D)
+        W_x, W_h, b = _lstm_weights(rng, H, D)
         # a batch of one (1, T, D); the loss reads the last hidden state
         xs = rng.normal(size=(1, T, D))
         target = rng.normal(size=(1, H))
@@ -82,7 +84,7 @@ class TestLstmCell:
     def test_batched_step_equals_per_row(self):
         # a batch of windows gives each window's own run of the layer
         rng = np.random.default_rng(3)
-        W_x, W_h, b = init_lstm_cell(rng, 4, 3)
+        W_x, W_h, b = _lstm_weights(rng, 4, 3)
         X = rng.normal(size=(6, 5, 3))
         Hb, _ = lstm_layer_forward(W_x, W_h, b, X, want_cache=False)
         for i in range(6):
@@ -120,7 +122,7 @@ def _oracle_rollout(W_x, W_h, b, X, g_H):
                                         (256, 4, 6, 8), (3, 1, 2, 2)])
 def test_layer_bit_identical_to_step_by_step_cell_oracle(B, L, D, H):
     rng = np.random.default_rng(B * 100 + L)
-    W_x, W_h, b = init_lstm_cell(rng, H, D)
+    W_x, W_h, b = _lstm_weights(rng, H, D)
     b += rng.normal(size=b.shape)
     X = rng.normal(scale=2.0, size=(B, L, D))
     g_H = rng.normal(size=(B, L, H))
@@ -149,7 +151,7 @@ def test_steps_per_input_product_leave_bits_unchanged(monkeypatch, B, steps):
     # call is the reference
     L, D, H = 8, 16, 16
     rng = np.random.default_rng(B * 10 + steps)
-    W_x, W_h, b = init_lstm_cell(rng, H, D)
+    W_x, W_h, b = _lstm_weights(rng, H, D)
     b += rng.normal(size=b.shape)
     X = rng.normal(scale=2.0, size=(B, L, D))
     monkeypatch.setattr(nn, "_GATE_ENTRIES", 1)
@@ -188,7 +190,7 @@ def test_cell_gates_bit_identical_to_per_gate_reference():
     # i, f and o slices exactly, at every step of a layer
     rng = np.random.default_rng(6)
     H, L = 5, 3
-    W_x, W_h, b = init_lstm_cell(rng, H, 3)
+    W_x, W_h, b = _lstm_weights(rng, H, 3)
     X = rng.normal(scale=3.0, size=(7, L, 3))
     Hs, (_, _, cs, _, _) = lstm_layer_forward(W_x, W_h, b, X, True)
     h = c = np.zeros((7, H))

@@ -374,7 +374,7 @@ class TestDetect:
         stamps[21:23] = [np.nan, stamps[20] + 0.0001]
         with pytest.raises(ValueError, match="finite"):
             detect_with(model, scaling, st, "ST",
-                        trace.replace_data(timestamps=stamps))
+                        dataclasses.replace(trace, timestamps=stamps))
 
     def test_evaluate_returns_report(self, trained):
         trace, model, scaling = trained

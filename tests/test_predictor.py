@@ -1,6 +1,7 @@
 """Sequence predictor: architecture, causality, gradients, training loop."""
 
 import dataclasses
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from canids.predictor import (
     PredictorHyper,
     PredictorModel,
     TrainHistory,
+    TrainingDiverged,
     _forward_batch,
     build_model,
     load_model_file,
@@ -82,6 +84,33 @@ class TestArchitecture:
             assert np.array_equal(a.params[name], b.params[name])
         assert any(not np.array_equal(a.params[n], c.params[n])
                    for n in a.params)
+
+    @pytest.mark.parametrize("hyper, digest", [
+        (PredictorHyper(),
+         "b8678454530c623d19c63f5ebcc4911ee4c4e811dc25dc350e905ca0214299f3"),
+        # the benchmark's small model
+        (PredictorHyper(subsequence_length=8, embed_dim=16, hidden_dim=16,
+                        batch_size=128, learning_rate=1e-3),
+         "2cb929a60b5fcc8bfd237cc11edd272fd94426586643bcdee016636f8931b0bb"),
+    ])
+    def test_initial_weights_are_pinned(self, hyper, digest):
+        # the seeded draws alone, no BLAS: equal on every platform, and a
+        # change to the initialization order or rule shows here
+        m = build_model(k=3, hyper=hyper, seed=0)
+        h = hashlib.sha256()
+        for name in param_shapes(3, hyper.embed_dim, hyper.hidden_dim):
+            h.update(m.params[name].astype("<f8").tobytes())
+        assert h.hexdigest() == digest
+
+    def test_lstm_forget_biases_initialized_to_one(self):
+        m = build_model(k=2, hyper=TINY, seed=0)
+        for layer in ("enc1", "enc2", "dec1", "dec2"):
+            b = m.params[f"{layer}.b"]
+            assert np.array_equal(b[4:8], np.ones(4))
+            assert np.array_equal(b[:4], np.zeros(4))
+            assert np.array_equal(b[8:], np.zeros(8))
+        for name in ("embed.b", "attn.b", "combine.b", "out.b"):
+            assert not m.params[name].any()
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
@@ -234,13 +263,15 @@ def _sine_traces():
     return split_train_val(scaled, 0.8)
 
 
+SINE = PredictorHyper(subsequence_length=8, embed_dim=8, hidden_dim=8,
+                      batch_size=64, learning_rate=0.01, max_epochs=40,
+                      patience=39)
+
+
 class TestTraining:
     def test_learns_a_sine_better_than_persistence(self):
         tr, va = _sine_traces()
-        hyper = PredictorHyper(subsequence_length=8, embed_dim=8,
-                               hidden_dim=8, batch_size=64,
-                               learning_rate=0.01, max_epochs=40, patience=39)
-        model = build_model(k=1, hyper=hyper, seed=0)
+        model = build_model(k=1, hyper=SINE, seed=0)
         trained, hist = train(model, tr, va)
         X_va, Y_va = window_arrays(va, 8)
         floor = persistence_mse(X_va, Y_va)
@@ -290,6 +321,41 @@ class TestTraining:
                 pytest.raises(ValueError, match="has shape"):
             train(dataclasses.replace(model, hyper=other), tr, va)
         spy.assert_not_called()
+
+    def test_scaled_up_weights_diverge_at_the_first_batch(self):
+        tr, va = _sine_traces()
+        model = build_model(k=1, hyper=SINE, seed=0)
+        huge = PredictorModel(k=1, hyper=SINE, params={
+            name: p * 1e300 for name, p in model.params.items()})
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDiverged, match="epoch 0, batch 0") as e:
+            train(huge, tr, va)
+        assert (e.value.epoch, e.value.batch) == (0, 0)
+
+    def test_overflowing_validation_loss_diverges_after_the_epoch(self):
+        # a target of 1e200 squares past the float64 range while every
+        # prediction stays finite; batch -1 names the validation pass
+        tr, va = _sine_traces()
+        signals = va.signals.copy()
+        signals[20, 0] = 1e200
+        va = dataclasses.replace(va, signals=signals)
+        model = build_model(k=1, hyper=SINE, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDiverged, match="batch -1") as e:
+            train(model, tr, va)
+        assert (e.value.epoch, e.value.batch) == (0, -1)
+
+    def test_non_finite_validation_prediction_raises(self):
+        # validation predicts through predict_last_batch, which refuses a
+        # non-finite prediction before any loss is summed
+        tr, va = _sine_traces()
+        signals = va.signals.copy()
+        signals[20, 0] = np.nan
+        va = dataclasses.replace(va, signals=signals)
+        model = build_model(k=1, hyper=SINE, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError):
+            train(model, tr, va)
 
     def test_inconsistent_history_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ exactly when injection created it or changed its payload, verified by
 diffing against the clean trace.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -298,7 +300,8 @@ class TestEpochTimeBase:
 
     def test_same_records_labelled_as_at_time_zero(self):
         base = clean(duration=4.0)
-        shifted = base.replace_data(timestamps=base.timestamps + self.T0)
+        shifted = dataclasses.replace(base,
+                                      timestamps=base.timestamps + self.T0)
         ref = inject_suite(base, self._suite(0.0), seed=5)
         out = inject_suite(shifted, self._suite(self.T0), seed=5)
         assert len(out) == len(ref)

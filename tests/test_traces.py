@@ -304,7 +304,7 @@ class TestScaling:
         signals = t.signals.copy()
         signals[4, 1] = np.nan
         with pytest.raises(ValueError, match="sig_2"):
-            fit_and_scale(t.replace_data(signals=signals))
+            fit_and_scale(dataclasses.replace(t, signals=signals))
 
     def test_nan_sidecar_rejected(self, tmp_path):
         p = tmp_path / "scaling.csv"
