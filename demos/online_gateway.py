@@ -3,8 +3,8 @@
 A clean stream is hit with a 10x flood burst and, later, a constant spoof
 on the ramp signal. The flood never reaches the model (inter-arrival gap
 below 80% of the nominal period), and the spoofed payloads are dropped by
-the Diff detector with the model's own prediction substituted into the
-history buffer, so the attack cannot poison subsequent windows.
+the Diff detector with the model's own prediction pushed into the
+history in their place, so the attack cannot poison subsequent windows.
 """
 
 from collections import Counter
@@ -33,7 +33,7 @@ CONFIG = {
         {"kind": "Constant", "t_start": SPOOF[0], "t_end": SPOOF[1],
          "target_signal": 1, "value": 7.0},
     ]},
-    # the gateway feeds its own predictions back into the history buffer
+    # the gateway feeds its own predictions back into its history
     # whenever it drops a frame, so it needs a model good enough to stay
     # phase-locked through such stretches; 60 epochs gets there
     "predictor": {"subsequence_length": 8, "embed_dim": 16, "hidden_dim": 16,
@@ -85,7 +85,7 @@ def main() -> None:
     fp = sum(d.disposition != "Delivered" for d in clean)
     print(f"\nclean frames wrongly dropped: {fp} of {len(clean)} "
           f"({fp / len(clean):.2%})")
-    print("(false drops come in short runs: after any drop the buffer "
+    print("(false drops come in short runs: after any drop the history "
           "holds a\nprediction instead of the real value, and the next few "
           "frames are\njudged against that free-running history until it "
           "re-locks)")

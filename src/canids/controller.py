@@ -1,11 +1,11 @@
-"""Online deployment pipeline: per-frame rate check, circular history
-buffer, prediction, and disposition.
+"""Online deployment pipeline: per-frame rate check, streamed prediction,
+and disposition.
 
 Every incoming frame passes a two-step check. Step one compares its
 inter-arrival time against the message's nominal period: arrivals faster
 than (1 - tol) * P are dropped outright (flood defense) and never reach
-the model or the buffer. Step two predicts the frame's signals from the
-buffered history and classifies the deviation; anomalous frames are
+the model or its history. Step two predicts the frame's signals from the
+last L accepted rows and classifies the deviation; anomalous frames are
 dropped and the prediction is cached in their place, so one bad frame
 cannot poison the model's own inputs. Slow arrivals (gap above
 (1 + tol) * P) are legitimate frames whose preceding gap is suspicious;
@@ -21,27 +21,29 @@ all: it is too_fast and dropped as a rate violation, and the anchor stays
 where it was (unset, if it is the first frame), so one corrupt stamp can
 neither wave a flood frame through nor push every later frame out.
 
-Until the buffer has collected L accepted frames the stream is in warm-up:
-frames are rate-checked and buffered but delivered unscored.
+Until L accepted frames have been pushed the stream is in warm-up: frames
+are rate-checked and pushed but delivered unscored.
 
-The history lives in one preallocated (2L, k) array with a moving start,
-so the window a frame is predicted from is a read-only view of it, not a
-fresh stack. Each buffer state gets one forward pass: the first frame
-after it that passes the rate check predicts from it, is scored against
-that prediction and pushes its value or a substitute, which ends the
-state; a rate-dropped frame neither predicts nor changes the buffer.
-Predicting right after a push, before the next frame is pulled, would
-spend a forward no frame uses at the end of every stream and save nothing
-in a closed loop, whose caller waits for either.
+The history is a `predictor.StreamPredictor`, which holds the L windows
+in flight and advances all of them by one batched step per pushed row,
+instead of running the whole window again for every frame. Each history
+state gets one prediction: the first frame after it that passes the rate
+check asks for it, is scored against it and pushes its value or a
+substitute, which ends the state; a rate-dropped frame neither predicts
+nor pushes. The steps run when the prediction is asked for, not at the
+push: stepping at once would spend a step no frame uses at the end of
+every stream and save nothing in a closed loop, whose caller waits for
+either, and a failing forward raises at the frame that reads it.
 
 With nothing dropped, the online scores equal offline detection's to
-float64 rounding, not bit for bit: the batch-1 forward takes numpy's
-matrix-vector BLAS path and offline blocks the matrix-matrix one.
+float64 rounding, not bit for bit: the stream computes each window's
+numbers bit for bit as a batch-1 forward would, which takes numpy's
+matrix-vector BLAS path, and offline blocks the matrix-matrix one.
 
 A frame whose scaled payload is not all finite (a NaN or infinite signal)
-cannot be scored and must never reach the buffer: it is dropped as
+cannot be scored and must never reach the history: it is dropped as
 anomalous with no score, and after warm-up the configured substitution
-takes its place in the buffer.
+is pushed in its place.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import OcsvmModel, Scorer, StaticThreshold
-from .predictor import PredictorModel, predict_last_batch
+from .predictor import PredictorModel, StreamPredictor
 from .traces import ScalingParams, float_cells, table_text
 
 DISPOSITIONS = ("Delivered", "DroppedAnomalous", "DroppedRateViolation")
@@ -153,54 +155,6 @@ def rate_flags(timestamps: np.ndarray, expected_period_ms: float,
     return fast, slow
 
 
-class HistoryBuffer:
-    """The L most recent accepted (scaled) signal vectors.
-
-    Rows live in one (2L, k) array allocated at the first push: each push
-    copies its vector in after the newest row, and once the array is full
-    the newest L-1 rows move to its front, one block copy every L+1 pushes.
-    The window is therefore always one contiguous slice, returned as a
-    read-only view with no copy; the next push may overwrite it.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._rows: np.ndarray | None = None
-        self._end = 0  # one past the newest row
-        self._len = 0
-
-    def push(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if self._rows is None:
-            self._rows = np.empty((2 * self.capacity,) + vec.shape)
-        elif vec.shape != self._rows.shape[1:]:
-            raise ValueError(f"vector of shape {vec.shape}, buffer holds "
-                             f"{self._rows.shape[1:]}")
-        if self._end == len(self._rows):
-            keep = self.capacity - 1
-            # the source rows lie past L, so a vec that views the newest
-            # row (a frozen substitute) is still intact after the move
-            self._rows[:keep] = self._rows[self._end - keep:]
-            self._end = keep
-        self._rows[self._end] = vec
-        self._end += 1
-        self._len = min(self._len + 1, self.capacity)
-
-    @property
-    def full(self) -> bool:
-        return self._len == self.capacity
-
-    def window(self) -> np.ndarray:
-        """Contents oldest to newest as a read-only (L, k) view."""
-        if not self.full:
-            raise ValueError("buffer not yet full")
-        view = self._rows[self._end - self.capacity: self._end]
-        view.flags.writeable = False
-        return view
-
-
 @dataclass(frozen=True)
 class FrameDisposition:
     index: int
@@ -240,15 +194,15 @@ def run_online(stream, model: PredictorModel,
     infinite time, is DroppedRateViolation.
 
     After warm-up, each frame that passes the rate check gets one
-    prediction from the buffered window. That prediction is scored against
-    the frame, and it is what the "prediction" substitution pushes when the
-    frame is dropped.
+    prediction from the last L pushed rows. That prediction is scored
+    against the frame, and it is what the "prediction" substitution pushes
+    when the frame is dropped.
 
     A frame that passes the rate check but whose scaled payload holds a NaN
-    or an infinity is DroppedAnomalous with score None and never enters the
-    history buffer. During warm-up nothing is pushed in its place; after
-    warm-up the configured substitution (the model's prediction, or the
-    last buffered value) is pushed, as for any anomalous drop.
+    or an infinity is DroppedAnomalous with score None and is never pushed.
+    During warm-up nothing is pushed in its place; after warm-up the
+    configured substitution (the model's prediction, or the last pushed
+    row) is pushed, as for any anomalous drop.
     """
     config = config or OnlineConfig()
     if scaling.signal_count != model.k:
@@ -256,10 +210,9 @@ def run_online(stream, model: PredictorModel,
             f"scaling carries {scaling.signal_count} signals, model expects "
             f"{model.k}")
     scorer = Scorer(detector, variant, model.k)
-    L = model.hyper.subsequence_length
     state = RateCheckerState(expected_period_ms=expected_period_ms,
                              tolerance_fraction=config.tolerance_fraction)
-    buf = HistoryBuffer(L)
+    predictor = StreamPredictor(model)
     out: list[FrameDisposition] = []
     for i, (ts, raw) in enumerate(stream):
         raw = np.asarray(raw, dtype=np.float64)
@@ -272,31 +225,30 @@ def run_online(stream, model: PredictorModel,
             out.append(FrameDisposition(index=i, timestamp=ts,
                                         disposition="DroppedRateViolation",
                                         score=None, rate_flag=flag,
-                                        warmup=not buf.full))
+                                        warmup=not predictor.ready))
             continue
         scaled = scaling.apply(raw)
         finite = bool(np.isfinite(scaled).all())
-        if not buf.full:
+        if not predictor.ready:
             if finite:
-                buf.push(scaled)
+                predictor.push(scaled)
             out.append(FrameDisposition(
                 index=i, timestamp=ts,
                 disposition="Delivered" if finite else "DroppedAnomalous",
                 score=None, rate_flag=flag, warmup=True))
             continue
-        window = buf.window()
-        pred = predict_last_batch(model, window[None])[0]
+        pred = predictor.predict()
         score = (float(scorer.scores(pred[None], scaled[None])[0]) if finite
                  else None)
         if score is None or score < 0.0:
-            buf.push(pred if config.substitution == "prediction"
-                     else window[-1])
+            predictor.push(pred if config.substitution == "prediction"
+                           else predictor.last)
             out.append(FrameDisposition(index=i, timestamp=ts,
                                         disposition="DroppedAnomalous",
                                         score=score, rate_flag=flag,
                                         warmup=False))
         else:
-            buf.push(scaled)
+            predictor.push(scaled)
             out.append(FrameDisposition(index=i, timestamp=ts,
                                         disposition="Delivered", score=score,
                                         rate_flag=flag, warmup=False))

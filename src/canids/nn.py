@@ -11,15 +11,17 @@ An LSTM layer runs over a whole batch of sequences (B, L, d) in one call,
 step by step inside; the B rows are independent passes. Its weights are
 W_x (4H, D), W_h (4H, H) and b (4H,), gate rows stacked [input; forget;
 candidate; output]; `predictor.build_model` initializes them, as every
-other block, from the predictor's one table of shapes.
+other block, from the predictor's one table of shapes. One step's cell
+math is `lstm_step`, which the layer and the predictor's stream step
+(`predictor.StreamPredictor`) share.
 
 Finiteness and shapes are checked at the boundaries, not per step: the
 predictor checks every weight block's shape and rejects non-finite weights
 once, when a model is built, trained or loaded, and checks its predictions
 once per forward pass. The LSTM layer functions check nothing. `softmax`
 checks its row maxima, which it computes anyway, and the predictor calls
-it once per forward pass over every step's scores; `adam_step` checks
-each gradient.
+it once per forward pass over every step's scores (once per stream step
+over every window's); `adam_step` checks each gradient.
 """
 
 from __future__ import annotations
@@ -65,6 +67,34 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return num
 
 
+def lstm_step(xw: np.ndarray, h: np.ndarray, c: np.ndarray,
+              W_hT: np.ndarray, b: np.ndarray, h_out: np.ndarray
+              ) -> tuple[np.ndarray, ...]:
+    """One LSTM step for a stack of rows.
+
+    xw holds the step's input terms x W_x^T and is overwritten with
+    z = xw + h W_h^T + b; i, f, o are its sigmoid gates and g its tanh
+    candidate; c' = f*c + i*g and h' = o*tanh(c'), written into h_out,
+    which may overlap h. Returns (h', c', gates, g, tanh(c')), the
+    candidate block of gates holding a discarded sigmoid.
+
+    Rows run along every axis but the last: `lstm_layer_forward` steps a
+    (B, H) batch, `predictor.StreamPredictor` an (L, 1, H) stack whose
+    `h @ W_hT` is one (1, H) product per row.
+    """
+    xw += h @ W_hT
+    xw += b
+    H = c.shape[-1]
+    # one sigmoid pass over all four gate blocks; the candidate block's
+    # sigmoid is discarded, which costs less than three separate passes
+    gates = _sigmoid(xw)
+    g = np.tanh(xw[..., 2 * H: 3 * H])
+    c = gates[..., H: 2 * H] * c + gates[..., :H] * g
+    tc = np.tanh(c)
+    h = np.multiply(gates[..., 3 * H:], tc, out=h_out)
+    return h, c, gates, g, tc
+
+
 def lstm_layer_forward(W_x: np.ndarray, W_h: np.ndarray, b: np.ndarray,
                        X: np.ndarray, want_cache: bool
                        ) -> tuple[np.ndarray, tuple | None]:
@@ -99,19 +129,8 @@ def lstm_layer_forward(W_x: np.ndarray, W_h: np.ndarray, b: np.ndarray,
     for s in range(L):
         if s % steps == 0:
             xw = np.matmul(X[:, s: s + steps].transpose(1, 0, 2), W_xT)
-        z = xw[s % steps]
-        z += h @ W_hT
-        z += b
-        # one sigmoid pass over all four gate blocks; the candidate block's
-        # sigmoid is discarded, which costs less than three separate passes
-        gates = _sigmoid(z)
-        i = gates[:, :H]
-        f = gates[:, H: 2 * H]
-        g = np.tanh(z[:, 2 * H: 3 * H])
-        o = gates[:, 3 * H:]
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = np.multiply(o, tc, out=out[:, s])
+        h, c, gates, g, tc = lstm_step(xw[s % steps], h, c, W_hT, b,
+                                       out[:, s])
         if want_cache:
             gates[:, 2 * H: 3 * H] = g
             hs[s + 1], cs[s + 1], gates_all[s], tcs[s] = h, c, gates, tc

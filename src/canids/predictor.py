@@ -20,8 +20,11 @@ emits the predicted next signal vector at every step; training compares
 only the last step against the window's target row.
 
 `param_shapes` is the one architecture table: models are checked and
-initialized from it. `predict_last_batch` is the one forward-only path,
-for validation, detection, detector fitting and the gateway alike.
+initialized from it. `predict_last_batch` is the forward-only path over
+whole windows, for validation, detection and detector fitting.
+`StreamPredictor` is the gateway's: it keeps the L windows in flight and
+advances all of them by one batched step per pushed row, with each
+window's numbers bit for bit those of `predict_last_batch` on it.
 
 Everything is trained with hand-derived backpropagation through time; the
 finite-difference gradient checks in the test suite are the authority on
@@ -31,6 +34,7 @@ its correctness.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -52,11 +56,12 @@ LOSS_MODES = ("last", "all")
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or a gradient stops being finite;
+    `what` names which."""
 
-    def __init__(self, epoch: int, batch: int):
+    def __init__(self, epoch: int, batch: int, what: str = "non-finite loss"):
         super().__init__(
-            f"training diverged: non-finite loss at epoch {epoch}, batch {batch}")
+            f"training diverged: {what} at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
 
@@ -188,6 +193,9 @@ def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return g.reshape(-1, g.shape[-1]).T @ x.reshape(-1, x.shape[-1])
 
 
+_LSTM_LAYERS = ("enc1", "enc2", "dec1", "dec2")
+
+
 def _lstm(params: dict[str, np.ndarray], name: str, X: np.ndarray,
           want_cache: bool) -> tuple[np.ndarray, tuple | None]:
     return lstm_layer_forward(params[f"{name}.W_x"], params[f"{name}.W_h"],
@@ -312,6 +320,132 @@ def predict_last_batch(model: PredictorModel,
     return out
 
 
+class StreamPredictor:
+    """Last-step predictions of a row stream, one step per pushed row.
+
+    It holds the L windows still in flight, ordered by age: position p
+    began p rows ago and has taken p + 1 steps. One step advances every
+    position by the pushed row at once: embed, enc1, enc2, one attention
+    row per position over that position's own history, combine, dec1,
+    dec2, then `out`. Position L - 1 is then the window of the last L
+    rows, and its `out` row is the prediction. That is one batched step
+    per layer, where `predict_last_batch` on the window runs L steps.
+
+    Each position's numbers are bit for bit those of `predict_last_batch`
+    on its window, because every product has the shape the batch-1
+    forward gives it, with row p taken from position p: the LSTM input and
+    recurrent terms are stacks of lone (1, d) row products; the embed,
+    attn, combine and out affines are one L-row product; the scores and
+    alpha @ H2 are a stack of (L, L) items, item i over one window's
+    history, of which row p of the item holding position p is read.
+    Plain 2-D products over the positions round differently.
+
+    `push` records a copy of the row, and the steps run when `predict` is
+    next called, so a failing forward raises FloatingPointError at the
+    prediction that reads it, and rows that no prediction reads cost
+    nothing. After such an error the stream's state is undefined.
+    """
+
+    def __init__(self, model: PredictorModel):
+        self.model = model
+        L = model.hyper.subsequence_length
+        H = model.hyper.hidden_dim
+        # rows pushed and not yet stepped. Only the last L can reach a
+        # prediction: L steps from any state leave at position L - 1 the
+        # window that began L steps ago, from zero states
+        self._pending: deque[np.ndarray] = deque(maxlen=L)
+        self._pushed = 0
+        self._last: np.ndarray | None = None
+        self._pred: np.ndarray | None = None
+        # each LSTM layer's hidden and cell states, (L + 1, 1, H): row
+        # p + 1 holds position p's, and row 0 stays zero, the state a new
+        # window starts from, so one step reads rows :L and writes rows 1:
+        self._h = {name: np.zeros((L + 1, 1, H)) for name in _LSTM_LAYERS}
+        self._c = {name: np.zeros((L + 1, 1, H)) for name in _LSTM_LAYERS}
+        # each window's enc2 states by step, one item per window: the
+        # window that began t steps into the stream lives in item t % L
+        self._hist = np.zeros((L, L, H))
+        self._steps = 0
+        self._positions = np.arange(L)
+
+    @property
+    def ready(self) -> bool:
+        """Whether L rows have been pushed, so a window exists."""
+        return self._pushed >= self.model.hyper.subsequence_length
+
+    @property
+    def last(self) -> np.ndarray:
+        """The last row pushed, read-only."""
+        if self._last is None:
+            raise ValueError("no row pushed yet")
+        return self._last
+
+    def push(self, row: np.ndarray) -> None:
+        row = np.array(row, dtype=np.float64)
+        if row.shape != (self.model.k,):
+            raise ValueError(f"row of shape {row.shape}, model expects "
+                             f"({self.model.k},)")
+        row.flags.writeable = False
+        self._pending.append(row)
+        self._last = row
+        self._pushed += 1
+
+    def predict(self) -> np.ndarray:
+        """The prediction from the last L rows pushed, shape (k,).
+
+        Raises ValueError before L rows are pushed, and FloatingPointError
+        if the prediction is not finite.
+        """
+        if not self.ready:
+            raise ValueError("fewer rows pushed than the window length")
+        if self._pending:
+            for row in self._pending:
+                pred = self._step(row)
+            self._pending.clear()
+            _check_finite("predictions", pred)
+            self._pred = pred
+        return self._pred
+
+    def _lstm(self, name: str, X: np.ndarray) -> np.ndarray:
+        """One step of LSTM layer `name` at every position; X (L, D) holds
+        each position's input, and the new states come back as (L, H)."""
+        p = self.model.params
+        h, c = self._h[name], self._c[name]
+        xw = np.matmul(X[:, None, :], p[f"{name}.W_x"].T)
+        h_new, c[1:], *_ = nn.lstm_step(xw, h[:-1], c[:-1], p[f"{name}.W_h"].T,
+                                        p[f"{name}.b"], h[1:])
+        return h_new[:, 0]
+
+    def _step(self, row: np.ndarray) -> np.ndarray:
+        """Advance every position by `row`; returns the `out` row of
+        position L - 1."""
+        p = self.model.params
+        L, H = self._hist.shape[1:]
+        pos = self._positions
+        items = (self._steps - pos) % L
+        self._steps += 1
+        rows = np.empty((1, L, self.model.k))
+        rows[:] = row
+        e = _affine(rows, p["embed.W"], p["embed.b"])[0]
+        h2 = self._lstm("enc2", self._lstm("enc1", e))
+
+        hist = self._hist
+        hist[items[0]] = 0.0  # the window beginning now has no history
+        hist[items, pos] = h2
+        q = _affine(h2[None], p["attn.W"], p["attn.b"])[0]
+        scores = np.matmul(q, hist.transpose(0, 2, 1))[items, pos]
+        scores += _causal_mask(L)
+        alpha = softmax(scores)
+        concat = np.empty((1, L, 2 * H))
+        concat[0, :, :H] = np.matmul(alpha, hist)[items, pos]
+        concat[0, :, H:] = h2
+        phi = _affine(concat, p["combine.W"], p["combine.b"])[0]
+        np.tanh(phi, out=phi)
+
+        d2 = self._lstm("dec2", self._lstm("dec1", phi))
+        return _affine(d2[None], p["out.W"], p["out.b"])[0, -1]
+
+
 def loss_and_grads(params: dict[str, np.ndarray], windows: np.ndarray,
                    targets: np.ndarray, loss_mode: str = "last"
                    ) -> tuple[float, dict[str, np.ndarray]]:
@@ -359,7 +493,7 @@ def train(model: PredictorModel, train_trace: Trace, val_trace: Trace
     `predict_last_batch` one `batch_size` slice at a time, is measured
     after every epoch; training stops when it fails to improve for
     `patience` consecutive epochs or at max_epochs, and the weights of the
-    best epoch are restored. A non-finite loss raises
+    best epoch are restored. A non-finite loss or gradient raises
     TrainingDiverged(epoch, batch), batch -1 for validation; a non-finite
     validation prediction raises FloatingPointError. The procedure draws
     no randomness beyond the model's own initialization. A warm start with
@@ -390,7 +524,12 @@ def train(model: PredictorModel, train_trace: Trace, val_trace: Trace
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, bi)
             se_sum += loss * yb.size
-            adam_step(opt, params, grads)
+            try:
+                adam_step(opt, params, grads)
+            except FloatingPointError as exc:
+                # a finite loss can still overflow a gradient; `params` is
+                # this call's own copy, so a half-applied update is dropped
+                raise TrainingDiverged(epoch, bi, str(exc)) from None
         train_hist.append(se_sum / Y_tr.size)
         val_se = 0.0
         for lo in range(0, len(X_va), hyper.batch_size):

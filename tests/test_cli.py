@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hs
 
-from canids import __version__, model_io, traces
+from canids import __version__, model_io, predictor, traces
 from canids.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from canids.config import load_config
 from canids.detector import load_detector
@@ -562,6 +562,32 @@ class TestExitCodes:
                        "--config", str(cfg), "--model-out", str(model)])
         assert rc == EXIT_RUNTIME
         assert "training diverged" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_gradient_divergence_is_runtime(self, ws, tmp_path, capsys):
+        # weights x1e300 of a 4-unit model: the first batch's loss is
+        # finite and a gradient overflows
+        doc = _config_doc()
+        doc["predictor"].update(embed_dim=4, hidden_dim=4)
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps(doc))
+        model = tmp_path / "m.bin"
+        build = predictor.build_model
+
+        def huge(*args, **kwargs):
+            m = build(*args, **kwargs)
+            return dataclasses.replace(m, params={
+                name: p * 1e300 for name, p in m.params.items()})
+
+        capsys.readouterr()
+        with mock.patch.object(predictor, "build_model", huge), \
+                np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--trace", str(ws["train"]),
+                       "--config", str(cfg), "--model-out", str(model)])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "training diverged: non-finite values in gradient" in err
+        assert "epoch 0, batch 0" in err
         assert not model.exists()
 
     @pytest.mark.parametrize("section, key, value, command", [

@@ -1,4 +1,5 @@
-"""Online pipeline: rate checking, history buffer, per-frame dispositions."""
+"""Online pipeline: rate checking, streamed predictions, per-frame
+dispositions."""
 
 from unittest import mock
 
@@ -7,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from canids import controller
+from canids import controller, predictor
 from canids.controller import (
     DISPOSITIONS,
     FrameDisposition,
-    HistoryBuffer,
     OnlineConfig,
     RateCheckerState,
     dispositions_csv,
@@ -21,7 +21,12 @@ from canids.controller import (
 )
 from canids.detector import VARIANTS, OcsvmModel, StaticThreshold, fit_ocsvm
 from canids.pipeline import detect_with
-from canids.predictor import PredictorHyper, build_model, predict_last_batch
+from canids.predictor import (
+    PredictorHyper,
+    StreamPredictor,
+    build_model,
+    predict_last_batch,
+)
 from canids.traces import MessageSchema, ScalingParams, Trace
 
 from oracles import run_online_loop
@@ -158,63 +163,6 @@ class TestRateFlags:
             rate_flags(ts, expected_period_ms=15.0)
 
 
-class TestHistoryBuffer:
-    def test_window_orders_oldest_to_newest(self):
-        buf = HistoryBuffer(3)
-        for v in ([1.0], [2.0], [3.0]):
-            buf.push(np.array(v))
-        assert np.array_equal(buf.window(), [[1.0], [2.0], [3.0]])
-
-    def test_eviction_keeps_the_most_recent(self):
-        buf = HistoryBuffer(2)
-        for v in ([1.0], [2.0], [3.0]):
-            buf.push(np.array(v))
-        assert np.array_equal(buf.window(), [[2.0], [3.0]])
-
-    def test_window_before_full_rejected(self):
-        buf = HistoryBuffer(2)
-        buf.push(np.array([1.0]))
-        assert not buf.full
-        with pytest.raises(ValueError, match="full"):
-            buf.window()
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            HistoryBuffer(0)
-
-    def test_vector_shape_must_not_change(self):
-        buf = HistoryBuffer(2)
-        buf.push(np.zeros(3))
-        with pytest.raises(ValueError, match="shape"):
-            buf.push(np.zeros(2))
-
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(capacity=hs.integers(1, 6), k=hs.integers(1, 3),
-           repeats=hs.lists(hs.booleans(), max_size=40))
-    def test_window_is_the_last_pushes(self, capacity, k, repeats):
-        # True pushes the window's newest row back in, as the freeze
-        # substitution does, through a view into the buffer itself
-        rng = np.random.default_rng(capacity * 100 + k * 10 + len(repeats))
-        buf = HistoryBuffer(capacity)
-        pushed = []
-        for repeat in repeats:
-            if repeat and buf.full:
-                vec = buf.window()[-1]
-                buf.push(vec)
-                pushed.append(pushed[-1])
-            else:
-                vec = rng.normal(size=k)
-                buf.push(vec)
-                pushed.append(vec.copy())
-                vec[:] = np.nan  # the buffer keeps its own copy
-            assert buf.full == (len(pushed) >= capacity)
-            if buf.full:
-                window = buf.window()
-                assert np.array_equal(window, np.stack(pushed[-capacity:]))
-                with pytest.raises(ValueError, match="read-only"):
-                    window[0, 0] = 0.0
-
-
 def _clean_stream(n: int, k: int = 2, period: float = 0.015):
     rng = np.random.default_rng(7)
     for i in range(n):
@@ -289,10 +237,15 @@ class TestRunOnline:
         stream[7] = (stream[7][0], np.array([np.nan, 0.5]))
         model = build_model(k=2, hyper=HYPER, seed=0)
         det = StaticThreshold(threshold=0.5)
-        with mock.patch.object(controller, "predict_last_batch",
-                               wraps=predict_last_batch) as spy:
-            out = run_online(stream, model, det, "ST", _unit_scaling(2),
-                             15.0, OnlineConfig(substitution=substitution))
+        # predict_last_batch runs its windows through _forward_batch, so
+        # the second spy also sees a window forward reached another way
+        with mock.patch.object(predictor, "predict_last_batch",
+                               wraps=predict_last_batch) as window_spy, \
+                mock.patch.object(predictor, "_forward_batch",
+                                  wraps=predictor._forward_batch) as fwd_spy:
+            out, pushed, predictions = _run_recording(
+                stream, model, det, "ST", _unit_scaling(2), 15.0,
+                OnlineConfig(substitution=substitution))
         predicted = [d for d in out if not d.warmup
                      and d.disposition != "DroppedRateViolation"]
         assert [d.index for d in out if d.rate_flag == "too_fast"] == [3, 6]
@@ -300,8 +253,15 @@ class TestRunOnline:
         assert out[7].score is None
         assert {d.disposition for d in predicted} == {"Delivered",
                                                       "DroppedAnomalous"}
-        assert spy.call_count == len(predicted) == 14 - 4 - 2
-        assert all(c.args[1].shape == (1, 4, 2) for c in spy.call_args_list)
+        assert len(predictions) == len(predicted) == 14 - 4 - 2
+        # the first prediction reads the L = 4 warm-up rows, and every
+        # scored frame pushes one row before the next prediction
+        assert [n for n, _ in predictions] == list(range(4, 4 + 8))
+        assert all(pred.shape == (2,) for _, pred in predictions)
+        assert all(np.isfinite(v).all() for v in pushed)
+        # the gateway streams: no window is run from its first row again
+        window_spy.assert_not_called()
+        fwd_spy.assert_not_called()
 
     def test_ocsvm_detector_with_diff_variant(self):
         rng = np.random.default_rng(1)
@@ -349,18 +309,25 @@ class TestRunOnline:
 
 
 def _run_recording(stream, *args, **kwargs):
-    """run_online with every vector pushed into its history buffer
-    recorded; returns (dispositions, pushed vectors)."""
+    """run_online with its stream predictor recorded; returns
+    (dispositions, pushed vectors, predictions), each prediction as
+    (rows pushed before it, predicted vector)."""
     pushed: list[np.ndarray] = []
+    predictions: list[tuple[int, np.ndarray]] = []
 
-    class RecordingBuffer(HistoryBuffer):
-        def push(self, vec: np.ndarray) -> None:
-            pushed.append(np.array(vec, dtype=np.float64))
-            super().push(vec)
+    class RecordingStream(StreamPredictor):
+        def push(self, row: np.ndarray) -> None:
+            pushed.append(np.array(row, dtype=np.float64))
+            super().push(row)
 
-    with mock.patch.object(controller, "HistoryBuffer", RecordingBuffer):
+        def predict(self) -> np.ndarray:
+            pred = super().predict()
+            predictions.append((len(pushed), pred.copy()))
+            return pred
+
+    with mock.patch.object(controller, "StreamPredictor", RecordingStream):
         out = run_online(stream, *args, **kwargs)
-    return out, pushed
+    return out, pushed, predictions
 
 
 class TestNonFinitePayloads:
@@ -376,7 +343,7 @@ class TestNonFinitePayloads:
         model = build_model(k=2, hyper=HYPER, seed=0)
         det = StaticThreshold(threshold=100.0)  # flags no finite frame
         stream = self._stream()
-        out, pushed = _run_recording(
+        out, pushed, _ = _run_recording(
             stream, model, det, "ST", _unit_scaling(2), 15.0,
             config=OnlineConfig(substitution=substitution))
         kinds = [d.disposition for d in out]
@@ -422,7 +389,7 @@ class TestNonFinitePayloads:
             if bad is not None:
                 payload[bad_signal % k] = bad
             stream.append((t if bad_stamp is None else bad_stamp, payload))
-        out, pushed = _run_recording(
+        out, pushed, _ = _run_recording(
             stream, model, StaticThreshold(threshold=threshold), "ST",
             _unit_scaling(k), 15.0,
             config=OnlineConfig(substitution=substitution))

@@ -6,12 +6,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from canids import model_io, nn, predictor
 from canids.nn import mse_loss, softmax
 from canids.predictor import (
     PredictorHyper,
     PredictorModel,
+    StreamPredictor,
     TrainHistory,
     TrainingDiverged,
     _forward_batch,
@@ -253,6 +256,125 @@ class TestForward:
             predict_last_batch(m, windows)
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _window_prediction(model: PredictorModel, rows) -> np.ndarray:
+    return predict_last_batch(model, np.stack(rows)[None])[0]
+
+
+class TestStreamPredictor:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(k=hs.integers(1, 4), L=hs.integers(1, 8),
+           embed=hs.sampled_from([4, 16]), hidden=hs.sampled_from([4, 16]),
+           repeats=hs.lists(hs.booleans(), max_size=40))
+    def test_equals_the_window_forward(self, k, L, embed, hidden, repeats):
+        # True re-pushes the stream's own last row, as the gateway's freeze
+        # substitution does; every other push's vector is spoiled after it
+        hyper = PredictorHyper(subsequence_length=L, embed_dim=embed,
+                               hidden_dim=hidden)
+        model = build_model(k, hyper, seed=L)
+        rng = np.random.default_rng(k * 100 + L * 10 + len(repeats))
+        stream = StreamPredictor(model)
+        pushed = []
+        for repeat in repeats:
+            if repeat and pushed:
+                stream.push(stream.last)
+                pushed.append(pushed[-1])
+            else:
+                vec = rng.uniform(-1.0, 2.0, size=k)
+                stream.push(vec)
+                pushed.append(vec.copy())
+                vec[:] = np.nan  # the stream keeps its own copy
+            assert np.array_equal(stream.last, pushed[-1])
+            assert stream.ready == (len(pushed) >= L)
+            if stream.ready:
+                assert np.array_equal(
+                    _bits(stream.predict()),
+                    _bits(_window_prediction(model, pushed[-L:])))
+
+    def test_equals_the_window_forward_at_the_default_size(self):
+        model = build_model(3, PredictorHyper(), seed=1)
+        L = model.hyper.subsequence_length
+        rows = np.random.default_rng(1).uniform(size=(100, 3))
+        stream = StreamPredictor(model)
+        for t, row in enumerate(rows):
+            stream.push(row)
+            if t + 1 >= L:
+                assert np.array_equal(
+                    _bits(stream.predict()),
+                    _bits(_window_prediction(model, rows[t + 1 - L: t + 1])))
+
+    def test_predicts_from_rows_oldest_to_newest(self):
+        model = build_model(k=1, hyper=TINY, seed=0)
+        rows = [np.array([v]) for v in (0.1, 0.4, 0.2, 0.9)]
+        stream = StreamPredictor(model)
+        for row in rows:
+            stream.push(row)
+        pred = stream.predict()
+        assert np.array_equal(_bits(pred),
+                              _bits(_window_prediction(model, rows)))
+        assert not np.array_equal(pred,
+                                  _window_prediction(model, rows[::-1]))
+        # asking again steps nothing and gives the same prediction
+        assert np.array_equal(_bits(stream.predict()), _bits(pred))
+
+    def test_rows_older_than_the_window_are_forgotten(self):
+        # one stream predicts after every push, one never before the end,
+        # one sees only the last L rows: more rows wait unstepped than a
+        # window holds, and every stream gives the same bits
+        model = build_model(k=2, hyper=TINY, seed=3)
+        L = TINY.subsequence_length
+        rows = np.random.default_rng(3).uniform(size=(3 * L + 1, 2))
+        eager, lazy, fresh = (StreamPredictor(model) for _ in range(3))
+        for row in rows:
+            eager.push(row)
+            lazy.push(row)
+            if eager.ready:
+                eager.predict()
+        for row in rows[-L:]:
+            fresh.push(row)
+        want = _bits(_window_prediction(model, rows[-L:]))
+        for stream in (eager, lazy, fresh):
+            assert np.array_equal(_bits(stream.predict()), want)
+
+    def test_prediction_before_L_pushes_rejected(self):
+        stream = StreamPredictor(build_model(k=2, hyper=TINY, seed=0))
+        with pytest.raises(ValueError, match="no row"):
+            stream.last
+        for _ in range(TINY.subsequence_length - 1):
+            stream.push(np.zeros(2))
+        assert not stream.ready
+        with pytest.raises(ValueError, match="fewer rows"):
+            stream.predict()
+
+    def test_window_length_must_be_positive(self):
+        # the stream's window length is the model's, so no stream can be
+        # built without a window
+        with pytest.raises(ValueError, match="subsequence_length"):
+            PredictorHyper(subsequence_length=0)
+
+    def test_row_width_must_match_the_model(self):
+        stream = StreamPredictor(build_model(k=2, hyper=TINY, seed=0))
+        with pytest.raises(ValueError, match="shape"):
+            stream.push(np.zeros(3))
+
+    def test_last_row_is_read_only(self):
+        stream = StreamPredictor(build_model(k=2, hyper=TINY, seed=0))
+        stream.push(np.zeros(2))
+        with pytest.raises(ValueError, match="read-only"):
+            stream.last[0] = 1.0
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_non_finite_window_raises(self, row):
+        stream = StreamPredictor(build_model(k=2, hyper=TINY, seed=0))
+        for t in range(TINY.subsequence_length):
+            stream.push(np.array([np.nan if t == row else 0.0, 0.0]))
+        with pytest.raises(FloatingPointError):
+            stream.predict()
+
+
 def _sine_traces():
     schema = MessageSchema(message_id=0x10, signal_count=1,
                            nominal_period_ms=10.0)
@@ -330,6 +452,26 @@ class TestTraining:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingDiverged, match="epoch 0, batch 0") as e:
             train(huge, tr, va)
+        assert (e.value.epoch, e.value.batch) == (0, 0)
+
+    def test_non_finite_gradient_with_a_finite_loss_diverges(self):
+        # weights x1e300 of a 4-unit model: the first batch's loss is
+        # finite, and a gradient overflows
+        tr, va = _sine_traces()
+        hyper = PredictorHyper(subsequence_length=8, embed_dim=4,
+                               hidden_dim=4, batch_size=64,
+                               learning_rate=1e-3, max_epochs=3, patience=2)
+        model = build_model(k=1, hyper=hyper, seed=0)
+        huge = PredictorModel(k=1, hyper=hyper, params={
+            name: p * 1e300 for name, p in model.params.items()})
+        X, Y = window_arrays(tr, 8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = loss_and_grads(huge.params, X[:64], Y[:64])
+            assert np.isfinite(loss)
+            assert not all(np.isfinite(g).all() for g in grads.values())
+            with pytest.raises(TrainingDiverged,
+                               match="gradient .* epoch 0, batch 0") as e:
+                train(huge, tr, va)
         assert (e.value.epoch, e.value.batch) == (0, 0)
 
     def test_overflowing_validation_loss_diverges_after_the_epoch(self):
